@@ -12,11 +12,6 @@ from .errors import ChartMismatchError, FolicalcError, InputError, ParseError
 from .expr import (
     Expression,
     Rational,
-    expr_add,
-    expr_is_zero,
-    expr_mul,
-    expr_partial,
-    expr_substitute,
     is_identifier,
 )
 from .charts import (
@@ -102,11 +97,6 @@ __all__ = [
     "connection_as_jet_section",
     "connection_difference",
     "covariant_differential",
-    "expr_add",
-    "expr_is_zero",
-    "expr_mul",
-    "expr_partial",
-    "expr_substitute",
     "extend_connection",
     "extension_dependence",
     "exterior_differential",

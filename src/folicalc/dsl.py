@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .charts import (
     AdaptedChart,
@@ -81,8 +82,8 @@ class Token:
     column: int
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _tokenize(text: str) -> Iterator[Token]:
+    # A generator, so that a syntax error costs only the text before it.
     pos = 0
     line = 1
     line_start = 0
@@ -96,16 +97,27 @@ def _tokenize(text: str) -> list[Token]:
         value = match.group()
         column = pos - line_start + 1
         if kind == "number" or kind == "ident":
-            tokens.append(Token(kind, value, line, column))
+            yield Token(kind, value, line, column)
         elif kind == "op":
-            tokens.append(Token(value, value, line, column))
+            yield Token(value, value, line, column)
         newlines = value.count("\n")
         if newlines:
             line += newlines
             line_start = pos + value.rfind("\n") + 1
         pos = match.end()
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    yield Token("eof", "", line, len(text) - line_start + 1)
+
+
+def _integer(token: Token) -> int:
+    try:
+        return int(token.text)
+    except ValueError:
+        # Longer than the interpreter's int/str conversion limit.
+        raise ParseError(
+            f"integer literal has too many digits ({len(token.text)})",
+            token.line,
+            token.column,
+        ) from None
 
 
 # -- raw syntax ---------------------------------------------------------------
@@ -133,19 +145,23 @@ class RawBlock:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.ahead: list[Token] = []  # tokens pulled but not yet consumed
         self.depth = 0
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        ahead = self.ahead
+        while len(ahead) <= offset:
+            if ahead and ahead[-1].kind == "eof":
+                return ahead[-1]
+            ahead.append(next(self.tokens))
+        return ahead[offset]
 
     def advance(self) -> Token:
-        token = self.tokens[self.pos]
+        token = self.peek()
         if token.kind != "eof":
-            self.pos += 1
+            del self.ahead[0]
         return token
 
     def error(self, message: str, token: Token | None = None):
@@ -162,12 +178,14 @@ class _Parser:
     # -- expression grammar --------------------------------------------------
 
     def parse_expression(self) -> Expression:
-        value = self._term()
+        # All terms go into one sum at the end: folding `value + right` per
+        # operator would copy the partial sum each time, which is quadratic.
+        added = [self._term()]
+        subtracted = []
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            right = self._term()
-            value = value + right if op.kind == "+" else value - right
-        return value
+            (added if op.kind == "+" else subtracted).append(self._term())
+        return Expression.sum(added, subtracted)
 
     def _term(self) -> Expression:
         value = self._factor()
@@ -181,7 +199,7 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             exponent_token = self.expect("number", "a natural number exponent")
-            value = value ** int(exponent_token.text)
+            value = value ** _integer(exponent_token)
         return value
 
     def _base(self) -> Expression:
@@ -192,11 +210,11 @@ class _Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            numerator = int(token.text)
+            numerator = _integer(token)
             if self.peek().kind == "/":
                 self.advance()
                 denominator_token = self.expect("number", "a positive denominator")
-                denominator = int(denominator_token.text)
+                denominator = _integer(denominator_token)
                 if denominator == 0:
                     self.error("denominator must be positive", denominator_token)
                 value = Expression.constant(Fraction(numerator, denominator))
@@ -276,7 +294,7 @@ class _Parser:
 
 def parse_expression(text: str) -> Expression:
     """Parse a standalone polynomial expression."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     value = parser.parse_expression()
     if parser.peek().kind != "eof":
         parser.error(f"unexpected {parser.peek().text!r} after expression")
@@ -329,7 +347,7 @@ class Document:
 
 def parse_document(text: str) -> Document:
     """Parse and validate a document, or raise a positioned ParseError."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     return _build_document(parser.parse_blocks())
 
 
@@ -363,7 +381,7 @@ def _natural(directive: RawDirective, what: str) -> int:
     token = directive.values[0]
     if token.kind != "number":
         raise ParseError(f"{what} takes a number", token.line, token.column)
-    return int(token.text)
+    return _integer(token)
 
 
 def _name_list(directive: RawDirective, what: str) -> list[Token]:

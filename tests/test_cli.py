@@ -144,3 +144,16 @@ def test_check_rejects_names(capsys):
     code, _, errtext = run(capsys, "check", CALCULUS, "--name", "phi")
     assert code == 2
     assert "no --name" in errtext
+
+
+def test_oversized_integer_literal_exits_2(tmp_path, capsys):
+    doc = tmp_path / "huge.fol"
+    doc.write_text(
+        "manifold { dim 3 leaf 2 coords z1 z2 z3 }\n"
+        "form p {\n  p = " + "1" * 5001 + "\n}\n"
+    )
+    code, out, errtext = run(capsys, "check", doc)
+    assert code == 2
+    assert out == ""
+    assert "huge.fol:3:7:" in errtext
+    assert "too many digits" in errtext

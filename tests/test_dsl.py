@@ -239,3 +239,33 @@ def test_deep_nesting_is_a_diagnostic_not_a_crash():
     with pytest.raises(fc.ParseError) as info:
         parse_document(text)
     assert "nested" in info.value.message
+
+
+def test_earlier_grammar_error_wins_over_later_bad_character():
+    # Tokens are read on demand, so the parser stops at the first error in
+    # reading order and never looks at the '$' further on.
+    error = err("manifold { dim 3 leaf 2 coords z1 z2 z3 }\nform w { w = z1 + }\n$")
+    assert "expected an expression" in error.message
+    assert (error.line, error.column) == (2, 19)
+
+
+def test_bad_character_before_grammar_error_is_reported():
+    error = err("manifold { dim 3 leaf 2 coords z1 z2 z3 }\nform w { w = $ + }")
+    assert "unexpected character" in error.message
+    assert (error.line, error.column) == (2, 14)
+
+
+@pytest.mark.parametrize(
+    "template, column",
+    [
+        ("form w {{ w = {} }}", 14),
+        ("form w {{ w = 1/{} }}", 16),
+        ("form w {{ w = z1^{} }}", 17),
+        ("form w {{ degree {} }}", 17),
+    ],
+)
+def test_oversized_integer_literal_is_positioned(template, column):
+    text = MINIMAL + "\n" + template.format("1" * 5001)
+    error = err(text)
+    assert "too many digits" in error.message
+    assert (error.line, error.column) == (2, column)

@@ -205,3 +205,88 @@ def test_pow_rejects_negative():
 def test_variable_name_validation():
     with pytest.raises(fc.InputError):
         Expression.variable("not a name")
+
+
+# -- unordered storage, canonical order on read ----------------------------------
+
+
+term_lists = st.lists(st.tuples(monomials, coefficients), max_size=6)
+
+
+@given(term_lists, st.randoms(use_true_random=False))
+def test_insertion_order_is_invisible(items, rng):
+    # The same terms added in any order, or assembled by different operation
+    # sequences, give one canonical object: equal, same hash, same terms, same text.
+    parts = [Expression({mono: coeff}) for mono, coeff in items]
+    shuffled = parts[:]
+    rng.shuffle(shuffled)
+    folded = Expression.zero()
+    for part in shuffled:
+        folded = folded + part
+    summed = Expression.sum(parts)
+    subtracted = Expression.sum(shuffled + [z1, z2], [z2, z1])
+    for left, right in (
+        (folded, summed),
+        (subtracted, summed),
+        ((z1 + 1) * summed, summed * z1 + summed),
+    ):
+        assert left == right
+        assert hash(left) == hash(right)
+        assert left.terms == right.terms
+        assert str(left) == str(right)
+    assert list(summed) == list(summed.terms)
+
+
+def test_terms_are_canonically_ordered():
+    e = Expression.sum([z2, Expression.constant(3), z1 * z2, z1**2])
+    assert [m for m, _ in e.terms] == [
+        mono(z1=2),
+        mono(z1=1, z2=1),
+        mono(z2=1),
+        (),
+    ]
+    assert e.terms is e.terms
+
+
+def test_large_print_parse_fixpoint():
+    square = fc.parse_expression("((1+z1+2*z2-1/3*z3+z4)^6)^2")
+    assert len(square.terms) == 1820
+    text = str(square)
+    reparsed = fc.parse_expression(text)
+    assert reparsed == square
+    assert str(reparsed) == text
+
+
+# -- exactness boundary -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False, "1/2"])
+def test_only_exact_scalars_are_accepted(bad):
+    with pytest.raises(fc.InputError):
+        Expression.constant(bad)
+    with pytest.raises(fc.InputError):
+        Expression({(): bad})
+    with pytest.raises(fc.InputError):
+        Expression({(("z1", 1),): bad})
+
+
+@pytest.mark.parametrize("exponent", [2.7, 2.0, True, 0, -1])
+def test_monomial_exponents_must_be_positive_ints(exponent):
+    with pytest.raises(fc.InputError):
+        Expression({(("z1", exponent),): 1})
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_ring_ops_reject_inexact_scalars(bad):
+    for op in (
+        lambda: z1 + bad,
+        lambda: bad + z1,
+        lambda: z1 - bad,
+        lambda: bad - z1,
+        lambda: z1 * bad,
+        lambda: bad * z1,
+        lambda: z1.substitute({"z1": bad}),
+        lambda: z1.evaluate({"z1": bad}),
+    ):
+        with pytest.raises(fc.InputError):
+            op()

@@ -44,6 +44,14 @@ def test_zero_components_dropped():
     assert lf(1, {("z1",): Expression.zero()}) == lf(1, {})
 
 
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_inexact_scalar_components_rejected(bad):
+    with pytest.raises(fc.InputError):
+        lf(0, {(): bad})
+    with pytest.raises(fc.InputError):
+        ef(1, {("z3",): bad})
+
+
 def test_add_identity():
     omega = lf(1, {("z1",): z2})
     assert omega + LeafwiseForm.zero(CHART, 1) == omega
