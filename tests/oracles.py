@@ -48,3 +48,20 @@ def wedge_by_shuffles(a, b):
         if not total.is_zero():
             components[target] = total
     return type(a)(a.chart, degree, components)
+
+
+def schoolbook_product(a, b) -> dict:
+    """a * b as {monomial: Fraction}, one Fraction product per pair of terms.
+
+    Monomials are merged as exponent dicts and the sums collected in a dict,
+    independently of the ring's own product code.
+    """
+    total = {}
+    for mono_a, coeff_a in a.terms:
+        for mono_b, coeff_b in b.terms:
+            exponents = dict(mono_a)
+            for name, exponent in mono_b:
+                exponents[name] = exponents.get(name, 0) + exponent
+            key = tuple(sorted(exponents.items()))
+            total[key] = total.get(key, 0) + coeff_a * coeff_b
+    return {key: coeff for key, coeff in total.items() if coeff}

@@ -157,3 +157,20 @@ def test_oversized_integer_literal_exits_2(tmp_path, capsys):
     assert out == ""
     assert "huge.fol:3:7:" in errtext
     assert "too many digits" in errtext
+
+
+def test_unprintable_coefficient_exits_2(tmp_path, capsys):
+    # 10^5000 is computed, not written as a literal, so it parses; printing
+    # it would pass the interpreter's int/str digit limit.
+    doc = tmp_path / "huge.fol"
+    doc.write_text(
+        "manifold { dim 3 leaf 2 coords z1 z2 z3 }\n"
+        "form p {\n  p = 10^5000*z1\n}\n"
+    )
+    for extra in ((), ("--json",)):
+        code, out, errtext = run(capsys, "diff", doc, "--name", "p", *extra)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in errtext
+        assert errtext.startswith("error: ")
+        assert "5001 digits" in errtext

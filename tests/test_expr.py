@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import folicalc as fc
 from folicalc import Expression
 
+import oracles
 import randgen
 
 z1 = Expression.variable("z1")
@@ -290,3 +292,114 @@ def test_ring_ops_reject_inexact_scalars(bad):
     ):
         with pytest.raises(fc.InputError):
             op()
+
+
+# -- products: the packed kernel against a schoolbook oracle -----------------------
+
+# Names whose string order differs from their numeric order ("z10" sorts
+# before "z2", "Z3" before every lower-case name), so a field order taken
+# from anything but the name would show.
+kernel_names = ("z2", "z10", "Z3", "a_b", "z1")
+kernel_exponents = st.one_of(st.integers(1, 4), st.integers(2**60, 2**70))
+kernel_monomials = st.builds(
+    lambda d: tuple(sorted(d.items())),
+    st.dictionaries(st.sampled_from(kernel_names), kernel_exponents, max_size=4),
+)
+kernel_coefficients = st.builds(
+    Fraction,
+    st.integers(-3, 3) | st.integers(-(10**12), 10**12),
+    st.integers(1, 60) | st.integers(-60, -1) | st.integers(10**15, 10**16),
+)
+# 0 to 40 terms, so products run from the zero and constant cases through
+# both sides of the kernel's size threshold.
+kernel_factors = st.one_of(
+    st.builds(Expression, st.dictionaries(kernel_monomials, kernel_coefficients, max_size=40)),
+    st.builds(Expression.constant, kernel_coefficients),
+    st.just(Expression.zero()),
+)
+
+
+def _assert_canonical(e):
+    for mono, coeff in e.terms:
+        assert type(coeff) is Fraction and coeff != 0
+        names = [name for name, _ in mono]
+        assert names == sorted(set(names))
+        assert all(type(exp) is int and exp > 0 for _, exp in mono)
+
+
+def _point(rng, *factors):
+    # Random rationals where powers stay small; -1, 0 and 1 otherwise, since a
+    # rational to the power 2**70 cannot be computed.
+    huge = any(exp > 64 for f in factors for mono, _ in f.terms for _, exp in mono)
+    pick = (lambda: rng.choice((-1, 0, 1))) if huge else (
+        lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+    )
+    return {name: pick() for name in kernel_names}
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_factors, kernel_factors, st.randoms(use_true_random=False))
+def test_product_matches_schoolbook_oracle(a, b, rng):
+    product = a * b
+    assert dict(product.terms) == oracles.schoolbook_product(a, b)
+    assert b * a == product
+    _assert_canonical(product)
+    # The cross terms of (a + b)(a - b) cancel inside one product.
+    squares = (a + b) * (a - b)
+    assert dict(squares.terms) == oracles.schoolbook_product(a + b, a - b)
+    _assert_canonical(squares)
+    for _ in range(2):
+        at = _point(rng, a, b)
+        assert product.evaluate(at) == a.evaluate(at) * b.evaluate(at)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(kernel_names),
+    st.sampled_from((1, 3, 2**70)),
+    st.integers(2, 40),
+    kernel_coefficients.filter(bool),
+)
+def test_telescoping_product_cancels(name, step, k, scale):
+    # scale*(1 + x + ... + x^(k-1)) * (x - 1) = scale*(x^k - 1) with x = v^step:
+    # every inner term cancels against a neighbour.
+    x = Expression.variable(name) ** step
+    geometric = Expression.sum(x**i for i in range(k)) * scale
+    product = geometric * (x - 1)
+    assert product == (x**k - 1) * scale
+    assert len(product.terms) == 2
+    _assert_canonical(product)
+
+
+def test_multinomial_coefficients_at_size():
+    # (1+z1+z2+z3)^40 by repeated squaring; the coefficient of
+    # z1^a z2^b z3^c is 40!/(a! b! c! d!) with d = 40 - a - b - c.
+    power = fc.parse_expression("1+z1+z2+z3") ** 40
+    assert len(power.terms) == math.comb(43, 3) == 12341
+    for mono, coeff in power.terms:
+        exponents = dict(mono)
+        counts = [exponents.get(v, 0) for v in ("z1", "z2", "z3")]
+        counts.append(40 - sum(counts))
+        expected = math.factorial(40)
+        for count in counts:
+            expected //= math.factorial(count)
+        assert coeff == expected
+    _assert_canonical(power)
+
+
+def test_product_matches_sympy_expand():
+    sympy = pytest.importorskip("sympy")
+    symbols = {name: sympy.Symbol(name) for name in kernel_names}
+
+    def to_sympy(e):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(symbols[v] ** exp for v, exp in mono))
+            for mono, c in e.terms
+        ))
+
+    rng = random.Random(5)
+    for size_a, size_b in ((1, 40), (3, 5), (4, 4), (5, 8), (12, 20), (40, 40)):
+        a = randgen.expression(rng, kernel_names, max_degree=6, max_terms=size_a)
+        b = randgen.expression(rng, kernel_names, max_degree=6, max_terms=size_b)
+        assert sympy.expand(to_sympy(a) * to_sympy(b) - to_sympy(a * b)) == 0
