@@ -28,6 +28,15 @@ which is how a zero form of positive degree is written down.
 Directive items of known single arity (`dim`, `leaf`, `degree`) consume one
 value; list directives (`coords`, `fibre`) consume values greedily, so they
 belong last in their block.
+
+A term is built without ring operations on its numbers and names.  Number
+factors fold into one integer numerator and denominator, identifier factors
+into one {name: exponent} map, and the term becomes a single monomial with a
+single coefficient; only parenthesised factors are raised and multiplied as
+expressions.  This works because negation sits inside `^`: `-x^n` reads as
+`(-x)^n`, so a run of minus signs before a factor is just the sign
+(-1)^(minus signs * n) of the whole term, and `-z1^2` is `z1^2`.  A `^0`
+factor is 1, whatever its base (`0^0` included).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .charts import (
     AdaptedChart,
@@ -59,6 +68,7 @@ _TOKEN_RE = re.compile(
       | (?P<number>[0-9]+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op>[{}\[\]()=+\-*^/])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -74,8 +84,7 @@ _OBJECT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number", "ident", "eof", or the operator character itself
     text: str
     line: int
@@ -84,28 +93,28 @@ class Token:
 
 def _tokenize(text: str) -> Iterator[Token]:
     # A generator, so that a syntax error costs only the text before it.
-    pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match.group()
-        column = pos - line_start + 1
-        if kind == "number" or kind == "ident":
-            yield Token(kind, value, line, column)
-        elif kind == "op":
-            yield Token(value, value, line, column)
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rfind("\n") + 1
-        pos = match.end()
+        if kind == "ws":
+            # Only whitespace spans lines: a comment stops before its newline.
+            value = match.group()
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + value.rfind("\n") + 1
+        elif kind != "comment":
+            value = match.group()
+            column = match.start() - line_start + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {value!r}", line, column)
+            yield Token(value if kind == "op" else kind, value, line, column)
     yield Token("eof", "", line, len(text) - line_start + 1)
+
+
+def _error_at(token: Token, message: str) -> ParseError:
+    return ParseError(message, token.line, token.column)
 
 
 def _integer(token: Token) -> int:
@@ -113,10 +122,8 @@ def _integer(token: Token) -> int:
         return int(token.text)
     except ValueError:
         # Longer than the interpreter's int/str conversion limit.
-        raise ParseError(
-            f"integer literal has too many digits ({len(token.text)})",
-            token.line,
-            token.column,
+        raise _error_at(
+            token, f"integer literal has too many digits ({len(token.text)})"
         ) from None
 
 
@@ -147,32 +154,39 @@ class RawBlock:
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
-        self.ahead: list[Token] = []  # tokens pulled but not yet consumed
+        self.token = next(self.tokens)  # the current token, not yet consumed
+        self.following: Token | None = None  # pulled past it by lookahead()
         self.depth = 0
 
-    def peek(self, offset: int = 0) -> Token:
-        ahead = self.ahead
-        while len(ahead) <= offset:
-            if ahead and ahead[-1].kind == "eof":
-                return ahead[-1]
-            ahead.append(next(self.tokens))
-        return ahead[offset]
-
     def advance(self) -> Token:
-        token = self.peek()
-        if token.kind != "eof":
-            del self.ahead[0]
+        # Consume the current token and read the next one at once, so any
+        # check on a token's value must run before its advance().
+        token = self.token
+        if self.following is not None:
+            self.token, self.following = self.following, None
+        elif token.kind != "eof":
+            self.token = next(self.tokens)
         return token
 
-    def error(self, message: str, token: Token | None = None):
-        token = token or self.peek()
-        raise ParseError(message, token.line, token.column)
+    def lookahead(self) -> Token:
+        # The token after the current one.
+        if self.following is None:
+            token = self.token
+            self.following = token if token.kind == "eof" else next(self.tokens)
+        return self.following
 
-    def expect(self, kind: str, description: str) -> Token:
-        token = self.peek()
+    def error(self, message: str, token: Token | None = None):
+        raise _error_at(token or self.token, message)
+
+    def current(self, kind: str, description: str) -> Token:
+        token = self.token
         if token.kind != kind:
             shown = token.text or "end of input"
             self.error(f"expected {description}, found {shown!r}", token)
+        return token
+
+    def expect(self, kind: str, description: str) -> Token:
+        self.current(kind, description)
         return self.advance()
 
     # -- expression grammar --------------------------------------------------
@@ -182,79 +196,93 @@ class _Parser:
         # operator would copy the partial sum each time, which is quadratic.
         added = [self._term()]
         subtracted = []
-        while self.peek().kind in ("+", "-"):
+        while self.token.kind in ("+", "-"):
             op = self.advance()
             (added if op.kind == "+" else subtracted).append(self._term())
         return Expression.sum(added, subtracted)
 
     def _term(self) -> Expression:
-        value = self._factor()
-        while self.peek().kind == "*":
-            self.advance()
-            value = value * self._factor()
-        return value
-
-    def _factor(self) -> Expression:
-        value = self._base()
-        if self.peek().kind == "^":
-            self.advance()
-            exponent_token = self.expect("number", "a natural number exponent")
-            value = value ** _integer(exponent_token)
-        return value
-
-    def _base(self) -> Expression:
-        negations = 0
-        while self.peek().kind == "-":
-            self.advance()
-            negations += 1
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            numerator = _integer(token)
-            if self.peek().kind == "/":
+        # Folds number and name factors into one coefficient and one monomial
+        # (see the module docstring); only groups are ring products.
+        numerator = denominator = 1
+        exponents: dict[str, int] = {}
+        groups = []
+        while True:
+            negations = 0
+            while self.token.kind == "-":
                 self.advance()
-                denominator_token = self.expect("number", "a positive denominator")
-                denominator = _integer(denominator_token)
-                if denominator == 0:
-                    self.error("denominator must be positive", denominator_token)
-                value = Expression.constant(Fraction(numerator, denominator))
+                negations += 1
+            token = self.token
+            kind = token.kind
+            if kind == "number":
+                value = _integer(token)
+                self.advance()
+                divisor = 1
+                if self.token.kind == "/":
+                    self.advance()
+                    divisor = _integer(self.current("number", "a positive denominator"))
+                    if divisor == 0:
+                        self.error("denominator must be positive")
+                    self.advance()
+            elif kind == "ident":
+                self.advance()
+            elif kind == "(":
+                if self.depth >= _MAX_NESTING:
+                    self.error("expression is nested too deeply")
+                self.depth += 1
+                self.advance()
+                value = self.parse_expression()
+                self.expect(")", "')'")
+                self.depth -= 1
             else:
-                value = Expression.constant(numerator)
-        elif token.kind == "ident":
+                shown = token.text or "end of input"
+                self.error(f"expected an expression, found {shown!r}")
+            power = 1
+            if self.token.kind == "^":
+                self.advance()
+                power = _integer(self.current("number", "a natural number exponent"))
+                self.advance()
+            if power:
+                if negations & power & 1:
+                    numerator = -numerator
+                if kind == "number":
+                    numerator *= value**power
+                    denominator *= divisor**power
+                elif kind == "ident":
+                    exponents[token.text] = exponents.get(token.text, 0) + power
+                else:
+                    groups.append(value if power == 1 else value**power)
+            if self.token.kind != "*":
+                break
             self.advance()
-            value = Expression.variable(token.text)
-        elif token.kind == "(":
-            if self.depth >= _MAX_NESTING:
-                self.error("expression is nested too deeply", token)
-            self.depth += 1
-            self.advance()
-            value = self.parse_expression()
-            self.expect(")", "')'")
-            self.depth -= 1
-        else:
-            shown = token.text or "end of input"
-            self.error(f"expected an expression, found {shown!r}", token)
-        return -value if negations % 2 else value
+        if not numerator:
+            return Expression.zero()
+        term = Expression._build(
+            {tuple(sorted(exponents.items())): Fraction(numerator, denominator)}
+        )
+        for group in groups:
+            term = term * group
+        return term
 
     # -- document grammar ------------------------------------------------------
 
     def parse_blocks(self) -> list[RawBlock]:
         blocks = []
-        if self.peek().kind == "eof":
+        if self.token.kind == "eof":
             self.error("expected a block")
-        while self.peek().kind != "eof":
+        while self.token.kind != "eof":
             blocks.append(self._block())
         return blocks
 
     def _block(self) -> RawBlock:
         kind = self.expect("ident", "a block kind")
         name = None
-        if self.peek().kind == "ident":
+        if self.token.kind == "ident":
             name = self.advance()
         self.expect("{", "'{'")
         items = []
-        while self.peek().kind != "}":
-            if self.peek().kind == "eof":
+        while self.token.kind != "}":
+            if self.token.kind == "eof":
                 self.error("unterminated block (missing '}')")
             items.append(self._item())
         self.advance()
@@ -262,28 +290,28 @@ class _Parser:
 
     def _item(self):
         key = self.expect("ident", "an item key")
-        if self.peek().kind in ("[", "="):
+        if self.token.kind in ("[", "="):
             indices = []
-            while self.peek().kind == "[":
+            while self.token.kind == "[":
                 self.advance()
                 indices.append(self.expect("ident", "an index name"))
                 self.expect("]", "']'")
             self.expect("=", "'='")
-            expr_token = self.peek()
+            expr_token = self.token
             expr = self.parse_expression()
             return RawAssign(key, indices, expr, expr_token)
         values = []
         if key.text in ("dim", "leaf", "degree"):
-            token = self.peek()
+            token = self.token
             if token.kind not in ("number", "ident"):
                 self.error(f"expected a value after {key.text!r}", token)
             values.append(self.advance())
         else:
             while True:
-                token = self.peek()
+                token = self.token
                 if token.kind == "number":
                     values.append(self.advance())
-                elif token.kind == "ident" and self.peek(1).kind not in ("[", "="):
+                elif token.kind == "ident" and self.lookahead().kind not in ("[", "="):
                     values.append(self.advance())
                 else:
                     break
@@ -296,8 +324,8 @@ def parse_expression(text: str) -> Expression:
     """Parse a standalone polynomial expression."""
     parser = _Parser(text)
     value = parser.parse_expression()
-    if parser.peek().kind != "eof":
-        parser.error(f"unexpected {parser.peek().text!r} after expression")
+    if parser.token.kind != "eof":
+        parser.error(f"unexpected {parser.token.text!r} after expression")
     return value
 
 
@@ -358,21 +386,13 @@ def _directive_map(block: RawBlock, allowed: tuple[str, ...]) -> dict[str, RawDi
     out: dict[str, RawDirective] = {}
     for item in block.items:
         if isinstance(item, RawAssign):
-            raise ParseError(
-                f"{block.kind.text} block takes no assignments",
-                item.key.line,
-                item.key.column,
-            )
+            raise _error_at(item.key, f"{block.kind.text} block takes no assignments")
         if item.key.text not in allowed:
-            raise ParseError(
-                f"unknown item {item.key.text!r} in {block.kind.text} block",
-                item.key.line,
-                item.key.column,
+            raise _error_at(
+                item.key, f"unknown item {item.key.text!r} in {block.kind.text} block"
             )
         if item.key.text in out:
-            raise ParseError(
-                f"duplicate {item.key.text!r} item", item.key.line, item.key.column
-            )
+            raise _error_at(item.key, f"duplicate {item.key.text!r} item")
         out[item.key.text] = item
     return out
 
@@ -380,14 +400,14 @@ def _directive_map(block: RawBlock, allowed: tuple[str, ...]) -> dict[str, RawDi
 def _natural(directive: RawDirective, what: str) -> int:
     token = directive.values[0]
     if token.kind != "number":
-        raise ParseError(f"{what} takes a number", token.line, token.column)
+        raise _error_at(token, f"{what} takes a number")
     return _integer(token)
 
 
 def _name_list(directive: RawDirective, what: str) -> list[Token]:
     for token in directive.values:
         if token.kind != "ident":
-            raise ParseError(f"{what} takes coordinate names", token.line, token.column)
+            raise _error_at(token, f"{what} takes coordinate names")
     return directive.values
 
 
@@ -395,41 +415,31 @@ def _build_chart(blocks: list[RawBlock]) -> Chart:
     manifolds = [b for b in blocks if b.kind.text == "manifold"]
     if not manifolds:
         first = blocks[0].kind
-        raise ParseError("a manifold block is required", first.line, first.column)
+        raise _error_at(first, "a manifold block is required")
     if len(manifolds) > 1:
         extra = manifolds[1].kind
-        raise ParseError("duplicate manifold block", extra.line, extra.column)
+        raise _error_at(extra, "duplicate manifold block")
     manifold = manifolds[0]
     directives = _directive_map(manifold, ("dim", "leaf", "coords"))
     for required in ("dim", "leaf", "coords"):
         if required not in directives:
-            raise ParseError(
-                f"manifold block needs a {required!r} item",
-                manifold.kind.line,
-                manifold.kind.column,
-            )
+            raise _error_at(manifold.kind, f"manifold block needs a {required!r} item")
     dim = _natural(directives["dim"], "dim")
     leaf = _natural(directives["leaf"], "leaf")
     coord_tokens = _name_list(directives["coords"], "coords")
     if leaf < 1:
         token = directives["leaf"].values[0]
-        raise ParseError("leaf dimension must be at least 1", token.line, token.column)
+        raise _error_at(token, "leaf dimension must be at least 1")
     if leaf > dim:
         token = directives["leaf"].values[0]
-        raise ParseError("leaf dimension exceeds dim", token.line, token.column)
+        raise _error_at(token, "leaf dimension exceeds dim")
     if len(coord_tokens) != dim:
         token = directives["coords"].key
-        raise ParseError(
-            f"coords lists {len(coord_tokens)} names, dim is {dim}",
-            token.line,
-            token.column,
-        )
+        raise _error_at(token, f"coords lists {len(coord_tokens)} names, dim is {dim}")
     seen: set[str] = set()
     for token in coord_tokens:
         if token.text in seen:
-            raise ParseError(
-                f"duplicate coordinate {token.text!r}", token.line, token.column
-            )
+            raise _error_at(token, f"duplicate coordinate {token.text!r}")
         seen.add(token.text)
     names = [t.text for t in coord_tokens]
     base = AdaptedChart(tuple(names[:leaf]), tuple(names[leaf:]))
@@ -437,22 +447,18 @@ def _build_chart(blocks: list[RawBlock]) -> Chart:
     bundles = [b for b in blocks if b.kind.text == "bundle"]
     if len(bundles) > 1:
         extra = bundles[1].kind
-        raise ParseError("duplicate bundle block", extra.line, extra.column)
+        raise _error_at(extra, "duplicate bundle block")
     if not bundles:
         return base
     bundle = bundles[0]
     fibre_directives = _directive_map(bundle, ("fibre",))
     if "fibre" not in fibre_directives:
-        raise ParseError(
-            "bundle block needs a 'fibre' item", bundle.kind.line, bundle.kind.column
-        )
+        raise _error_at(bundle.kind, "bundle block needs a 'fibre' item")
     fibre_tokens = _name_list(fibre_directives["fibre"], "fibre")
     for token in fibre_tokens:
         if token.text in seen:
-            raise ParseError(
-                f"fibre name {token.text!r} collides with a coordinate",
-                token.line,
-                token.column,
+            raise _error_at(
+                token, f"fibre name {token.text!r} collides with a coordinate"
             )
         seen.add(token.text)
     return BundleChart(base, tuple(t.text for t in fibre_tokens))
@@ -462,10 +468,8 @@ def _check_expr_vars(assign: RawAssign, allowed: frozenset[str], context: str):
     extra = assign.expr.variables() - allowed
     if extra:
         name = sorted(extra)[0]
-        raise ParseError(
-            f"variable {name!r} is not available in {context}",
-            assign.expr_token.line,
-            assign.expr_token.column,
+        raise _error_at(
+            assign.expr_token, f"variable {name!r} is not available in {context}"
         )
 
 
@@ -475,16 +479,13 @@ def _assignments(block: RawBlock, name: str, extra_directives=()) -> list[RawAss
         if isinstance(item, RawDirective):
             if item.key.text in extra_directives:
                 continue
-            raise ParseError(
+            raise _error_at(
+                item.key,
                 f"unexpected item {item.key.text!r} in {block.kind.text} block",
-                item.key.line,
-                item.key.column,
             )
         if item.key.text != name:
-            raise ParseError(
-                f"assignments in this block must use its name {name!r}",
-                item.key.line,
-                item.key.column,
+            raise _error_at(
+                item.key, f"assignments in this block must use its name {name!r}"
             )
         out.append(item)
     return out
@@ -499,9 +500,7 @@ def _find_directive(block: RawBlock, key: str) -> RawDirective | None:
 
 def _coordinate_position(token: Token, base: AdaptedChart) -> int:
     if token.text not in base.coords:
-        raise ParseError(
-            f"unknown coordinate {token.text!r}", token.line, token.column
-        )
+        raise _error_at(token, f"unknown coordinate {token.text!r}")
     return base.coords.index(token.text)
 
 
@@ -520,32 +519,21 @@ def _build_form(block: RawBlock, name: str, chart: Chart, leafwise: bool):
         for token in assign.indices:
             position = _coordinate_position(token, base)
             if leafwise and position >= limit:
-                raise ParseError(
-                    f"{token.text!r} is not a leaf coordinate",
-                    token.line,
-                    token.column,
-                )
+                raise _error_at(token, f"{token.text!r} is not a leaf coordinate")
             positions.append(position)
         index = tuple(positions)
         if any(a >= b for a, b in zip(index, index[1:])):
             token = assign.indices[0]
-            raise ParseError(
-                "multi-index must be strictly increasing", token.line, token.column
-            )
+            raise _error_at(token, "multi-index must be strictly increasing")
         if index in assigned:
-            raise ParseError(
-                f"duplicate assignment to {name!r}",
-                assign.key.line,
-                assign.key.column,
-            )
+            raise _error_at(assign.key, f"duplicate assignment to {name!r}")
         assigned.add(index)
         if degree is None:
             degree = len(index)
         elif len(index) != degree:
-            raise ParseError(
+            raise _error_at(
+                assign.key,
                 f"multi-index length {len(index)} disagrees with degree {degree}",
-                assign.key.line,
-                assign.key.column,
             )
         _check_expr_vars(assign, allowed_variables(chart), f"a {what} coefficient")
         if not assign.expr.is_zero():
@@ -558,11 +546,7 @@ def _build_form(block: RawBlock, name: str, chart: Chart, leafwise: bool):
 
 def _two_indices(assign: RawAssign, usage: str):
     if len(assign.indices) != 2:
-        raise ParseError(
-            f"coefficients here are indexed as {usage}",
-            assign.key.line,
-            assign.key.column,
-        )
+        raise _error_at(assign.key, f"coefficients here are indexed as {usage}")
     return assign.indices
 
 
@@ -573,25 +557,17 @@ def _build_table(block: RawBlock, name: str, chart: BundleChart, leaf_only: bool
     for assign in _assignments(block, name):
         fibre_token, coord_token = _two_indices(assign, f"{name}[fibre][coordinate]")
         if fibre_token.text not in chart.fibre_coords:
-            raise ParseError(
-                f"unknown fibre coordinate {fibre_token.text!r}",
-                fibre_token.line,
-                fibre_token.column,
+            raise _error_at(
+                fibre_token, f"unknown fibre coordinate {fibre_token.text!r}"
             )
         fibre = chart.fibre_coords.index(fibre_token.text)
         coord = _coordinate_position(coord_token, base)
         if leaf_only and coord >= base.dim_leaf:
-            raise ParseError(
-                f"{coord_token.text!r} is not a leaf coordinate",
-                coord_token.line,
-                coord_token.column,
+            raise _error_at(
+                coord_token, f"{coord_token.text!r} is not a leaf coordinate"
             )
         if (fibre, coord) in assigned:
-            raise ParseError(
-                f"duplicate assignment to {name!r}",
-                assign.key.line,
-                assign.key.column,
-            )
+            raise _error_at(assign.key, f"duplicate assignment to {name!r}")
         assigned.add((fibre, coord))
         _check_expr_vars(
             assign, allowed_variables(chart), "a connection coefficient"
@@ -609,24 +585,14 @@ def _build_splitting(block: RawBlock, name: str, chart: Chart) -> Splitting:
         leaf_token, trans_token = _two_indices(assign, f"{name}[leaf][transverse]")
         leaf = _coordinate_position(leaf_token, base)
         if leaf >= base.dim_leaf:
-            raise ParseError(
-                f"{leaf_token.text!r} is not a leaf coordinate",
-                leaf_token.line,
-                leaf_token.column,
-            )
+            raise _error_at(leaf_token, f"{leaf_token.text!r} is not a leaf coordinate")
         trans = _coordinate_position(trans_token, base)
         if trans < base.dim_leaf:
-            raise ParseError(
-                f"{trans_token.text!r} is not a transverse coordinate",
-                trans_token.line,
-                trans_token.column,
+            raise _error_at(
+                trans_token, f"{trans_token.text!r} is not a transverse coordinate"
             )
         if (leaf, trans) in assigned:
-            raise ParseError(
-                f"duplicate assignment to {name!r}",
-                assign.key.line,
-                assign.key.column,
-            )
+            raise _error_at(assign.key, f"duplicate assignment to {name!r}")
         assigned.add((leaf, trans))
         _check_expr_vars(
             assign, frozenset(base.coords), "a splitting coefficient (base only)"
@@ -640,23 +606,15 @@ def _build_section(block: RawBlock, name: str, chart: BundleChart) -> BundleSect
     components: dict[int, Expression] = {}
     for assign in _assignments(block, name):
         if len(assign.indices) != 1:
-            raise ParseError(
-                f"section components are indexed as {name}[fibre]",
-                assign.key.line,
-                assign.key.column,
+            raise _error_at(
+                assign.key, f"section components are indexed as {name}[fibre]"
             )
         token = assign.indices[0]
         if token.text not in chart.fibre_coords:
-            raise ParseError(
-                f"unknown fibre coordinate {token.text!r}", token.line, token.column
-            )
+            raise _error_at(token, f"unknown fibre coordinate {token.text!r}")
         fibre = chart.fibre_coords.index(token.text)
         if fibre in components:
-            raise ParseError(
-                f"duplicate assignment to {name!r}",
-                assign.key.line,
-                assign.key.column,
-            )
+            raise _error_at(assign.key, f"duplicate assignment to {name!r}")
         _check_expr_vars(
             assign, frozenset(chart.base.coords), "a section component (base only)"
         )
@@ -671,20 +629,14 @@ def _build_transition(block: RawBlock, name: str, chart: Chart) -> DeclaredTrans
     fibre_components: dict[int, Expression] = {}
     for assign in _assignments(block, name):
         if len(assign.indices) != 1:
-            raise ParseError(
-                f"transition components are indexed as {name}[coordinate]",
-                assign.key.line,
-                assign.key.column,
+            raise _error_at(
+                assign.key, f"transition components are indexed as {name}[coordinate]"
             )
         token = assign.indices[0]
         if token.text in base.coords:
             position = base.coords.index(token.text)
             if position in base_components:
-                raise ParseError(
-                    f"duplicate assignment to {name!r}",
-                    assign.key.line,
-                    assign.key.column,
-                )
+                raise _error_at(assign.key, f"duplicate assignment to {name!r}")
             _check_expr_vars(
                 assign, frozenset(base.coords), "a base transition component"
             )
@@ -692,19 +644,13 @@ def _build_transition(block: RawBlock, name: str, chart: Chart) -> DeclaredTrans
         elif bundle is not None and token.text in bundle.fibre_coords:
             position = bundle.fibre_coords.index(token.text)
             if position in fibre_components:
-                raise ParseError(
-                    f"duplicate assignment to {name!r}",
-                    assign.key.line,
-                    assign.key.column,
-                )
+                raise _error_at(assign.key, f"duplicate assignment to {name!r}")
             _check_expr_vars(
                 assign, allowed_variables(chart), "a fibre transition component"
             )
             fibre_components[position] = assign.expr
         else:
-            raise ParseError(
-                f"unknown coordinate {token.text!r}", token.line, token.column
-            )
+            raise _error_at(token, f"unknown coordinate {token.text!r}")
     components = tuple(
         base_components.get(i, Expression.variable(name_))
         for i, name_ in enumerate(base.coords)
@@ -728,25 +674,15 @@ def _build_document(blocks: list[RawBlock]) -> Document:
         if kind in ("manifold", "bundle"):
             continue
         if kind not in _OBJECT_KINDS:
-            raise ParseError(
-                f"unknown block kind {kind!r}", block.kind.line, block.kind.column
-            )
+            raise _error_at(block.kind, f"unknown block kind {kind!r}")
         if block.name is None:
-            raise ParseError(
-                f"{kind} block needs a name", block.kind.line, block.kind.column
-            )
+            raise _error_at(block.kind, f"{kind} block needs a name")
         name = block.name.text
         if name in names:
-            raise ParseError(
-                f"duplicate name {name!r}", block.name.line, block.name.column
-            )
+            raise _error_at(block.name, f"duplicate name {name!r}")
         names.add(name)
         if kind in ("connection", "leafwise_connection", "section") and bundle is None:
-            raise ParseError(
-                f"a bundle block is required for a {kind}",
-                block.kind.line,
-                block.kind.column,
-            )
+            raise _error_at(block.kind, f"a bundle block is required for a {kind}")
         if kind == "form":
             value = _build_form(block, name, chart, leafwise=True)
         elif kind == "exterior_form":

@@ -2,13 +2,14 @@
 
 These deliberately take different computational routes: permutation signs by
 brute-force inversion counting, the wedge by the shuffle-sum over index
-splits, and expression identities by exact evaluation at random rational
-points.
+splits, expression identities by exact evaluation at random rational
+points, and parsed text by ring operations on its parse tree.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import folicalc as fc
 
@@ -65,3 +66,36 @@ def schoolbook_product(a, b) -> dict:
             key = tuple(sorted(exponents.items()))
             total[key] = total.get(key, 0) + coeff_a * coeff_b
     return {key: coeff for key, coeff in total.items() if coeff}
+
+
+def parse_tree_value(tree) -> fc.Expression:
+    """The value of a parse tree, built by Expression ring operations.
+
+    This is the route the parser used to take: a product per '*', a power per
+    '^', a negation per '-'.  A tree is (first_term, [(sign, term), ...]);
+    a term is a list of factors (minus_signs, base, power or None); a base is
+    ("num", numerator, denominator or None), ("var", name) or
+    ("group", tree).
+    """
+    first, rest = tree
+    value = _term_value(first)
+    for sign, term in rest:
+        value = value + _term_value(term) if sign == "+" else value - _term_value(term)
+    return value
+
+
+def _term_value(factors) -> fc.Expression:
+    value = fc.Expression.one()
+    for minus_signs, base, power in factors:
+        if base[0] == "num":
+            factor = fc.Expression.constant(Fraction(base[1], base[2] or 1))
+        elif base[0] == "var":
+            factor = fc.Expression.variable(base[1])
+        else:
+            factor = parse_tree_value(base[1])
+        if minus_signs % 2:
+            factor = -factor
+        if power is not None:
+            factor = factor**power
+        value = value * factor
+    return value

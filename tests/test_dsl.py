@@ -269,3 +269,29 @@ def test_oversized_integer_literal_is_positioned(template, column):
     error = err(text)
     assert "too many digits" in error.message
     assert (error.line, error.column) == (2, column)
+
+
+BIG = "1" * 5001
+
+
+@pytest.mark.parametrize(
+    "tail, message, line, column",
+    [
+        # A value check reports before the token after it is read.
+        ("\nform w { w = 1/0$", "denominator must be positive", 2, 16),
+        ("\nform w { w = z1^" + BIG + "$", "too many digits", 2, 17),
+        ("\nform w { w = 1/" + BIG + "$", "too many digits", 2, 16),
+        ("\nform w { w = " + BIG + "$", "too many digits", 2, 14),
+        # Directive values are converted after the whole document is read.
+        ("\nform w { degree " + BIG + "$", "unexpected character '$'", 2, 5018),
+        ("\nform w { w = z1^ }$", "expected a natural number exponent", 2, 18),
+        ("\nform w { w = z1 + 1", "unterminated block", 2, 20),
+        ("\nform w {", "unterminated block", 2, 9),
+        ("\r\n# note\r\n# more\r\nform w { w = z1^-2 }", "exponent, found '-'", 4, 17),
+        ("\r\n# note\r\nform w { w = 2/0 }\r\n", "denominator must be positive", 3, 16),
+    ],
+)
+def test_error_position_and_order(tail, message, line, column):
+    error = err(MINIMAL + tail)
+    assert message in error.message
+    assert (error.line, error.column) == (line, column)

@@ -162,12 +162,16 @@ def test_parse_examples():
     assert fc.parse_expression("3/2*z1 - z2^2") == Fraction(3, 2) * z1 - z2**2
     assert fc.parse_expression("(z1+z2)*(z1-z2)") == z1**2 - z2**2
     assert fc.parse_expression("-4") == Expression.constant(-4)
+    assert fc.parse_expression("0^0") == Expression.one()
+    assert fc.parse_expression("z1*z1^2") == z1**3
 
 
 def test_unary_minus_binds_inside_power():
     # Grammar: '-' is part of base, so the exponent applies to the negated base.
     assert fc.parse_expression("-z1^2") == z1**2
     assert fc.parse_expression("-1*z1^2") == -(z1**2)
+    assert fc.parse_expression("-2^3") == Expression.constant(-8)
+    assert fc.parse_expression("--2^2") == Expression.constant(4)
 
 
 def test_parse_rejects_zero_denominator():
@@ -387,19 +391,99 @@ def test_multinomial_coefficients_at_size():
     _assert_canonical(power)
 
 
-def test_product_matches_sympy_expand():
-    sympy = pytest.importorskip("sympy")
-    symbols = {name: sympy.Symbol(name) for name in kernel_names}
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
 
-    def to_sympy(e):
-        return sympy.Add(*(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*(symbols[v] ** exp for v, exp in mono))
-            for mono, c in e.terms
-        ))
 
+def _to_sympy(sympy, e):
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(sympy.Symbol(v) ** exp for v, exp in mono))
+        for mono, c in e.terms
+    ))
+
+
+def test_product_matches_sympy_expand(sympy):
     rng = random.Random(5)
     for size_a, size_b in ((1, 40), (3, 5), (4, 4), (5, 8), (12, 20), (40, 40)):
         a = randgen.expression(rng, kernel_names, max_degree=6, max_terms=size_a)
         b = randgen.expression(rng, kernel_names, max_degree=6, max_terms=size_b)
-        assert sympy.expand(to_sympy(a) * to_sympy(b) - to_sympy(a * b)) == 0
+        product = _to_sympy(sympy, a) * _to_sympy(sympy, b)
+        assert sympy.expand(product - _to_sympy(sympy, a * b)) == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(expressions, expressions, expressions, variable_names, variable_names)
+def test_partial_and_substitute_match_sympy(sympy, e, s, t, v, w):
+    symbolic = _to_sympy(sympy, e)
+    derivative = sympy.diff(symbolic, sympy.Symbol(v))
+    assert sympy.expand(derivative - _to_sympy(sympy, e.partial(v))) == 0
+    # Simultaneous: a binding's own variables are not substituted again.
+    bindings = {v: s, w: t}
+    expected = symbolic.subs(
+        {sympy.Symbol(n): _to_sympy(sympy, x) for n, x in bindings.items()},
+        simultaneous=True,
+    )
+    assert sympy.expand(expected - _to_sympy(sympy, e.substitute(bindings))) == 0
+
+
+# -- the parser against the ring-op route ------------------------------------------
+
+# Parse trees as oracles.parse_tree_value reads them.  Numerators include 0 and
+# denominators leave fractions unreduced; names are the kernel's, whose string
+# order is not their numeric order.
+parse_leaves = st.one_of(
+    st.tuples(st.just("num"), st.integers(0, 12), st.none() | st.integers(1, 9)),
+    st.tuples(st.just("var"), st.sampled_from(kernel_names)),
+)
+
+
+def _parse_trees(depth):
+    # Leaves are weighted up so that trees stay small (about one factor in
+    # six is a group); groups nest at most `depth` deep.
+    bases = parse_leaves
+    if depth:
+        groups = st.tuples(st.just("group"), _parse_trees(depth - 1))
+        bases = st.one_of(parse_leaves, parse_leaves, parse_leaves, groups)
+    factors = st.tuples(st.integers(0, 3), bases, st.none() | st.integers(0, 3))
+    terms = st.lists(factors, min_size=1, max_size=3)
+    signed_terms = st.tuples(st.sampled_from("+-"), terms)
+    return st.tuples(terms, st.lists(signed_terms, max_size=3))
+
+
+parse_trees = _parse_trees(2)
+
+
+def _render(tree, rng) -> str:
+    # Source text for a tree, with random spacing, so runs like "+-" and
+    # "- -" appear as well as "+ -".
+    def gap():
+        return rng.choice(("", "", " ", "  "))
+
+    def term(factors):
+        parts = []
+        for minus_signs, base, power in factors:
+            text = "".join("-" + gap() for _ in range(minus_signs))
+            if base[0] == "num":
+                text += str(base[1]) + ("" if base[2] is None else f"/{base[2]}")
+            elif base[0] == "var":
+                text += base[1]
+            else:
+                text += "(" + gap() + _render(base[1], rng) + gap() + ")"
+            if power is not None:
+                text += f"{gap()}^{gap()}{power}"
+            parts.append(text)
+        return (gap() + "*" + gap()).join(parts)
+
+    first, rest = tree
+    return term(first) + "".join(gap() + sign + gap() + term(t) for sign, t in rest)
+
+
+@settings(deadline=None, max_examples=100)
+@given(parse_trees, st.randoms(use_true_random=False))
+def test_parser_matches_ring_op_oracle(tree, rng):
+    text = _render(tree, rng)
+    parsed = fc.parse_expression(text)
+    assert parsed == oracles.parse_tree_value(tree), text
+    _assert_canonical(parsed)
