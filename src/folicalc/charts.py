@@ -61,9 +61,6 @@ class AdaptedChart:
         except ValueError:
             raise InputError(f"unknown coordinate {name!r}") from None
 
-    def is_leaf_position(self, position: int) -> bool:
-        return 0 <= position < self.dim_leaf
-
 
 @dataclass(frozen=True)
 class BundleChart:

@@ -105,10 +105,6 @@ def run_command(verb: str, document: Document, names=()) -> Report:
     return Report(verb, tuple(handler(document, names)))
 
 
-def _resolve(document: Document, name: str) -> DocumentObject:
-    return document.lookup(name)
-
-
 def _expect_kind(obj: DocumentObject, kinds: tuple[str, ...], verb: str):
     if obj.kind not in kinds:
         wanted = " or ".join(kinds)
@@ -198,7 +194,7 @@ def _run_check(document: Document, names) -> list[CheckResult]:
 def _run_diff(document: Document, names) -> list[CheckResult]:
     if len(names) != 1:
         raise InputError("diff takes exactly one --name")
-    obj = _resolve(document, names[0])
+    obj = document.lookup(names[0])
     _expect_kind(obj, ("form", "exterior_form"), "diff")
     if obj.kind == "form":
         result = leafwise_differential(obj.value)
@@ -210,8 +206,8 @@ def _run_diff(document: Document, names) -> list[CheckResult]:
 def _run_wedge(document: Document, names) -> list[CheckResult]:
     if len(names) != 2:
         raise InputError("wedge takes exactly two --name arguments")
-    left = _resolve(document, names[0])
-    right = _resolve(document, names[1])
+    left = document.lookup(names[0])
+    right = document.lookup(names[1])
     for obj in (left, right):
         _expect_kind(obj, ("form", "exterior_form"), "wedge")
     if left.kind != right.kind:
@@ -225,7 +221,7 @@ def _run_wedge(document: Document, names) -> list[CheckResult]:
 def _run_restrict(document: Document, names) -> list[CheckResult]:
     if len(names) != 1:
         raise InputError("restrict takes exactly one --name")
-    obj = _resolve(document, names[0])
+    obj = document.lookup(names[0])
     _expect_kind(obj, ("exterior_form", "connection"), "restrict")
     if obj.kind == "exterior_form":
         return [CheckResult(f"restrict.{obj.name}", "pass", str(restrict_form(obj.value)))]
@@ -239,7 +235,7 @@ def _pick_extension_inputs(document: Document, names, verb: str, max_splittings:
     reference: Connection | None = None
     splittings: list[Splitting] = []
     for name in names:
-        obj = _resolve(document, name)
+        obj = document.lookup(name)
         if obj.kind == "leafwise_connection":
             if leafwise is not None:
                 raise InputError(f"{verb}: more than one leafwise_connection named")

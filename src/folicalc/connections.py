@@ -1,119 +1,136 @@
-"""Connections, leafwise connections, leafwise jets, and sections over a
-trivialised fibred chart.
+"""Coefficient tables over a chart, and sections of the bundle.
 
-All of these are coefficient tables keyed by (fibre position, coordinate
-position) with missing entries read as zero.  A full connection ranges over
-every base coordinate; a leafwise connection, a leafwise jet point, and a
-vertical-valued leafwise one-form range over leaf coordinates only.
-Coefficients may mention fibre variables (connections need not be linear);
-section components may not.
+Connections, leafwise connections, leafwise jet points and vertical-valued
+leafwise one-forms (here), and splittings and soldering forms (in
+extension.py) are one kind of data: a sparse table of polynomial
+coefficients keyed by (row position, column position), in which missing
+entries read as zero.  A table type declares only the chart it lives over
+and the kind of each axis:
+
+- rows run over the fibre coordinates or the leaf coordinates;
+- columns run over every base coordinate, the leaf block or the transverse
+  block, always stored at absolute base positions (leaf block first).
+
+A row or column entry is a name or an int position.  One resolver,
+`_position`, checks it for the constructors, `coefficient()` and the DSL.
+Coefficients over a bundle chart may mention fibre variables (connections
+need not be linear); section components may not.  Operations inside the
+package build their results with the unchecked `_build`.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .charts import BundleChart
+from .charts import (
+    BundleChart,
+    Chart,
+    _check_component_variables,
+    allowed_variables,
+    base_chart,
+)
 from .errors import ChartMismatchError, InputError
-from .expr import Expression
+from .expr import Expression, _add_into, _as_expression, _is_int
 from .forms import LeafwiseForm
 
 
-def _as_expression(value) -> Expression:
-    if isinstance(value, Expression):
-        return value
-    return Expression.constant(value)
+def _axis(chart: Chart, kind: str) -> tuple[tuple[str, ...], int, int]:
+    # The names an entry of this kind is looked up in, and the half-open
+    # range of positions it may take among them.
+    if kind == "fibre":
+        return chart.fibre_coords, 0, chart.fibre_dim
+    base = base_chart(chart)
+    start = base.dim_leaf if kind == "transverse" else 0
+    stop = base.dim_leaf if kind == "leaf" else base.dim
+    return base.coords, start, stop
 
 
-def _normalized_table(
-    chart: BundleChart,
-    entries: Mapping | None,
-    col_names: tuple[str, ...],
-    col_offset: int,
-    allowed: frozenset[str],
-    what: str,
-) -> dict[tuple[int, int], Expression]:
-    """Resolve (fibre, coordinate) keys given by position or by name, check
-    variable domains, and drop zero entries."""
-    table: dict[tuple[int, int], Expression] = {}
-    for (row, col), value in (entries or {}).items():
-        if isinstance(row, str):
-            row = chart.fibre_position(row)
-        row = int(row)
-        if not 0 <= row < chart.fibre_dim:
-            raise InputError(f"fibre index {row} out of range in {what}")
-        if isinstance(col, str):
-            if col not in col_names:
-                raise InputError(f"{col!r} is not a valid coordinate in {what}")
-            col = col_offset + col_names.index(col)
-        col = int(col)
-        if not col_offset <= col < col_offset + len(col_names):
-            raise InputError(f"coordinate index {col} out of range in {what}")
-        if (row, col) in table:
-            raise InputError(f"duplicate entry ({row}, {col}) in {what}")
-        expr = _as_expression(value)
-        extra = expr.variables() - allowed
-        if extra:
-            raise InputError(
-                f"{what} coefficient mentions undeclared variable {sorted(extra)[0]!r}"
-            )
-        if not expr.is_zero():
-            table[(row, col)] = expr
-    return table
+def _position(chart: Chart, kind: str, entry) -> int:
+    """Position of a table row or column entry, or of a section's fibre,
+    given by name or as an int.  kind is 'fibre', 'coordinate' (any base
+    coordinate), 'leaf' or 'transverse'."""
+    names, start, stop = _axis(chart, kind)
+    if isinstance(entry, str):
+        if entry not in names:
+            prefix = "fibre " if kind == "fibre" else ""
+            raise InputError(f"unknown {prefix}coordinate {entry!r}")
+        position = names.index(entry)
+        if not start <= position < stop:
+            raise InputError(f"{entry!r} is not a {kind} coordinate")
+        return position
+    if not _is_int(entry):
+        raise InputError(f"a {kind} position is a name or an int, not {type(entry).__name__}")
+    if not start <= entry < stop:
+        raise InputError(f"{kind} index {entry} out of range")
+    return entry
 
 
-def _table_lines(
-    name: str,
-    chart: BundleChart,
-    table: Mapping[tuple[int, int], Expression],
-    col_names: tuple[str, ...],
-    col_offset: int,
-) -> list[str]:
-    lines = []
-    for row, col in sorted(table):
-        fibre = chart.fibre_coords[row]
-        coord = col_names[col - col_offset]
-        lines.append(f"{name}[{fibre}][{coord}] = {table[(row, col)]}")
-    return lines
+class _CoefficientTable:
+    """Sparse (row, column)-keyed coefficient table; see the module docstring.
 
-
-class _FibreTable:
-    """Common behaviour of the (fibre, coordinate)-indexed coefficient tables."""
+    Subclasses set _axes to the kinds of their rows and columns, _chart_type
+    to the chart they live over, and _symbol to the name repr prints when
+    that is not the type name.
+    """
 
     __slots__ = ("chart", "coefficients")
 
-    _column_range = "base"  # or "leaf"
+    _axes: tuple[str, str]
+    _chart_type: type = BundleChart
+    _symbol: str | None = None
 
-    def __init__(self, chart: BundleChart, coefficients: Mapping | None = None):
-        if not isinstance(chart, BundleChart):
-            raise InputError(f"{type(self).__name__} needs a BundleChart")
+    def __init__(self, chart: Chart, coefficients: Mapping | None = None):
+        what = type(self).__name__
+        if not isinstance(chart, self._chart_type):
+            kind = self._chart_type.__name__
+            raise InputError(f"{what} needs {'an' if kind[0] in 'AEIOU' else 'a'} {kind}")
         self.chart = chart
-        names = self._col_names(chart)
-        self.coefficients = _normalized_table(
-            chart, coefficients, names, 0, frozenset(chart.all_coords), type(self).__name__
-        )
+        allowed = allowed_variables(chart)
+        table: dict[tuple[int, int], Expression] = {}
+        for key, value in (coefficients or {}).items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise InputError(f"{what} keys are (row, column) pairs, not {key!r}")
+            key = self._key(*key)
+            if key in table:
+                raise InputError(f"duplicate entry {key} in {what}")
+            expr = _as_expression(value)
+            _check_component_variables(expr, allowed, f"{what} coefficient")
+            if not expr.is_zero():
+                table[key] = expr
+        self.coefficients = table
 
     @classmethod
-    def _col_names(cls, chart: BundleChart) -> tuple[str, ...]:
-        if cls._column_range == "leaf":
-            return chart.base.leaf_coords
-        return chart.base.coords
+    def _build(cls, chart: Chart, coefficients: dict[tuple[int, int], Expression]):
+        # The internal constructor: keys are valid positions, values nonzero
+        # coefficients over the chart's variables, and the dict is not shared
+        # with anyone else.
+        table = object.__new__(cls)
+        table.chart = chart
+        table.coefficients = coefficients
+        return table
 
-    def coefficient(self, fibre, coord) -> Expression:
-        if isinstance(fibre, str):
-            fibre = self.chart.fibre_position(fibre)
-        if isinstance(coord, str):
-            names = self._col_names(self.chart)
-            if coord not in names:
-                raise InputError(f"{coord!r} is not a valid coordinate here")
-            coord = names.index(coord)
-        return self.coefficients.get((fibre, coord), Expression.zero())
+    def _key(self, row, col) -> tuple[int, int]:
+        rows, cols = self._axes
+        return _position(self.chart, rows, row), _position(self.chart, cols, col)
+
+    def _row(self, row) -> dict[tuple[int], Expression]:
+        # One row's entries keyed by 1-tuples of their column: the components
+        # of a degree-1 form.
+        row = _position(self.chart, self._axes[0], row)
+        return {(col,): expr for (r, col), expr in self.coefficients.items() if r == row}
+
+    def coefficient(self, row, col) -> Expression:
+        return self.coefficients.get(self._key(row, col), Expression.zero())
 
     def is_zero(self) -> bool:
         return not self.coefficients
 
     def assignment_lines(self, name: str) -> list[str]:
-        return _table_lines(name, self.chart, self.coefficients, self._col_names(self.chart), 0)
+        rows, cols = (_axis(self.chart, kind)[0] for kind in self._axes)
+        return [
+            f"{name}[{rows[row]}][{cols[col]}] = {self.coefficients[(row, col)]}"
+            for row, col in sorted(self.coefficients)
+        ]
 
     def __eq__(self, other) -> bool:
         return (
@@ -125,46 +142,41 @@ class _FibreTable:
     __hash__ = None
 
     def __repr__(self) -> str:
-        body = "; ".join(self.assignment_lines(type(self).__name__)) or "0"
+        body = "; ".join(self.assignment_lines(self._symbol or type(self).__name__)) or "0"
         return f"<{body}>"
 
 
-class Connection(_FibreTable):
+class Connection(_CoefficientTable):
     """Connection coefficient table over every base coordinate."""
 
     __slots__ = ()
-    _column_range = "base"
+    _axes = ("fibre", "coordinate")
 
 
-class LeafwiseConnection(_FibreTable):
+class LeafwiseConnection(_CoefficientTable):
     """Partial connection along the leaves: coefficients over leaf coordinates."""
 
     __slots__ = ()
-    _column_range = "leaf"
+    _axes = ("fibre", "leaf")
 
 
-class LeafwiseJetPoint(_FibreTable):
+class LeafwiseJetPoint(_CoefficientTable):
     """First-order leafwise contact data: one coefficient per (fibre, leaf)."""
 
     __slots__ = ()
-    _column_range = "leaf"
+    _axes = ("fibre", "leaf")
 
 
-class VerticalValuedLeafwiseForm(_FibreTable):
+class VerticalValuedLeafwiseForm(_CoefficientTable):
     """A leafwise one-form with values in the vertical tangent directions:
     one degree-1 leafwise form per fibre coordinate."""
 
     __slots__ = ()
-    _column_range = "leaf"
+    _axes = ("fibre", "leaf")
 
     def row(self, fibre) -> LeafwiseForm:
         """The degree-1 leafwise form attached to one fibre coordinate."""
-        if isinstance(fibre, str):
-            fibre = self.chart.fibre_position(fibre)
-        comps = {
-            (col,): expr for (row, col), expr in self.coefficients.items() if row == fibre
-        }
-        return LeafwiseForm(self.chart, 1, comps)
+        return LeafwiseForm._build(self.chart, 1, self._row(fibre))
 
 
 class BundleSection:
@@ -179,12 +191,7 @@ class BundleSection:
         if isinstance(components, Mapping):
             dense = [Expression.zero()] * chart.fibre_dim
             for key, value in components.items():
-                if isinstance(key, str):
-                    key = chart.fibre_position(key)
-                key = int(key)
-                if not 0 <= key < chart.fibre_dim:
-                    raise InputError(f"fibre index {key} out of range in section")
-                dense[key] = _as_expression(value)
+                dense[_position(chart, "fibre", key)] = value
             components = dense
         components = tuple(_as_expression(c) for c in components)
         if len(components) != chart.fibre_dim:
@@ -193,18 +200,11 @@ class BundleSection:
             )
         allowed = frozenset(chart.base.coords)
         for component in components:
-            extra = component.variables() - allowed
-            if extra:
-                raise InputError(
-                    f"section component mentions fibre or undeclared variable "
-                    f"{sorted(extra)[0]!r}"
-                )
+            _check_component_variables(component, allowed, "section component")
         self.components = components
 
     def component(self, fibre) -> Expression:
-        if isinstance(fibre, str):
-            fibre = self.chart.fibre_position(fibre)
-        return self.components[fibre]
+        return self.components[_position(self.chart, "fibre", fibre)]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -241,7 +241,7 @@ def restrict_connection(connection: Connection) -> LeafwiseConnection:
     kept = {
         key: expr for key, expr in connection.coefficients.items() if key[1] < cutoff
     }
-    return LeafwiseConnection(connection.chart, kept)
+    return LeafwiseConnection._build(connection.chart, kept)
 
 
 def jet_prolongation(section: BundleSection) -> LeafwiseJetPoint:
@@ -253,7 +253,7 @@ def jet_prolongation(section: BundleSection) -> LeafwiseJetPoint:
             derivative = component.partial(name)
             if not derivative.is_zero():
                 table[(fibre, leaf)] = derivative
-    return LeafwiseJetPoint(chart, table)
+    return LeafwiseJetPoint._build(chart, table)
 
 
 def connection_as_jet_section(connection: LeafwiseConnection) -> LeafwiseJetPoint:
@@ -273,13 +273,8 @@ def connection_difference(
     """Affine difference a - b, a vertical-valued leafwise one-form."""
     _require_chart(a, b, "subtract connections")
     merged = dict(a.coefficients)
-    for key, expr in b.coefficients.items():
-        total = merged.get(key, Expression.zero()) - expr
-        if total.is_zero():
-            merged.pop(key, None)
-        else:
-            merged[key] = total
-    return VerticalValuedLeafwiseForm(a.chart, merged)
+    _add_into(merged, b.coefficients, negate=True)
+    return VerticalValuedLeafwiseForm._build(a.chart, merged)
 
 
 def translate_connection(
@@ -288,13 +283,8 @@ def translate_connection(
     """Translate a leafwise connection by a vertical-valued leafwise form."""
     _require_chart(a, shift, "translate")
     merged = dict(a.coefficients)
-    for key, expr in shift.coefficients.items():
-        total = merged.get(key, Expression.zero()) + expr
-        if total.is_zero():
-            merged.pop(key, None)
-        else:
-            merged[key] = total
-    return LeafwiseConnection(a.chart, merged)
+    _add_into(merged, shift.coefficients)
+    return LeafwiseConnection._build(a.chart, merged)
 
 
 def covariant_differential(
@@ -310,7 +300,8 @@ def covariant_differential(
     table = {}
     for fibre, component in enumerate(section.components):
         for leaf, name in enumerate(chart.base.leaf_coords):
-            value = component.partial(name) - a.coefficient(fibre, leaf).substitute(bindings)
+            coeff = a.coefficients.get((fibre, leaf), Expression.zero())
+            value = component.partial(name) - coeff.substitute(bindings)
             if not value.is_zero():
                 table[(fibre, leaf)] = value
-    return VerticalValuedLeafwiseForm(chart, table)
+    return VerticalValuedLeafwiseForm._build(chart, table)

@@ -54,7 +54,7 @@ from .charts import (
     allowed_variables,
     base_chart,
 )
-from .connections import BundleSection, Connection, LeafwiseConnection
+from .connections import BundleSection, Connection, LeafwiseConnection, _position
 from .errors import InputError, ParseError
 from .expr import Expression
 from .extension import Splitting
@@ -473,6 +473,14 @@ def _check_expr_vars(assign: RawAssign, allowed: frozenset[str], context: str):
         )
 
 
+def _index_position(token: Token, chart: Chart, kind: str) -> int:
+    # The library's check of an index name, reported at the token.
+    try:
+        return _position(chart, kind, token.text)
+    except InputError as error:
+        raise _error_at(token, str(error)) from None
+
+
 def _assignments(block: RawBlock, name: str, extra_directives=()) -> list[RawAssign]:
     out = []
     for item in block.items:
@@ -498,15 +506,8 @@ def _find_directive(block: RawBlock, key: str) -> RawDirective | None:
     return None
 
 
-def _coordinate_position(token: Token, base: AdaptedChart) -> int:
-    if token.text not in base.coords:
-        raise _error_at(token, f"unknown coordinate {token.text!r}")
-    return base.coords.index(token.text)
-
-
 def _build_form(block: RawBlock, name: str, chart: Chart, leafwise: bool):
-    base = base_chart(chart)
-    limit = base.dim_leaf if leafwise else base.dim
+    axis = "leaf" if leafwise else "coordinate"
     what = "form" if leafwise else "exterior_form"
     degree = None
     directive = _find_directive(block, "degree")
@@ -515,13 +516,7 @@ def _build_form(block: RawBlock, name: str, chart: Chart, leafwise: bool):
     components: dict[tuple[int, ...], Expression] = {}
     assigned: set[tuple[int, ...]] = set()
     for assign in _assignments(block, name, extra_directives=("degree",)):
-        positions = []
-        for token in assign.indices:
-            position = _coordinate_position(token, base)
-            if leafwise and position >= limit:
-                raise _error_at(token, f"{token.text!r} is not a leaf coordinate")
-            positions.append(position)
-        index = tuple(positions)
+        index = tuple(_index_position(token, chart, axis) for token in assign.indices)
         if any(a >= b for a, b in zip(index, index[1:])):
             token = assign.indices[0]
             raise _error_at(token, "multi-index must be strictly increasing")
@@ -541,65 +536,41 @@ def _build_form(block: RawBlock, name: str, chart: Chart, leafwise: bool):
     if degree is None:
         degree = 0
     kind = LeafwiseForm if leafwise else ExteriorForm
-    return kind(chart, degree, components)
+    return kind._build(chart, degree, components)
 
 
-def _two_indices(assign: RawAssign, usage: str):
-    if len(assign.indices) != 2:
-        raise _error_at(assign.key, f"coefficients here are indexed as {usage}")
-    return assign.indices
+# Table block kinds: the table type, how its assignments are indexed, and
+# what its coefficients are called in a diagnostic.
+_TABLE_KINDS = {
+    "connection": (Connection, "[fibre][coordinate]", "a connection coefficient"),
+    "leafwise_connection": (
+        LeafwiseConnection, "[fibre][coordinate]", "a connection coefficient"
+    ),
+    "splitting": (Splitting, "[leaf][transverse]", "a splitting coefficient (base only)"),
+}
 
 
-def _build_table(block: RawBlock, name: str, chart: BundleChart, leaf_only: bool):
-    base = chart.base
+def _build_table(block: RawBlock, name: str, kind: str, chart: Chart):
+    table_type, usage, what = _TABLE_KINDS[kind]
+    if not isinstance(chart, table_type._chart_type):
+        chart = base_chart(chart)  # a splitting lives over the base
+    allowed = allowed_variables(chart)
     table: dict[tuple[int, int], Expression] = {}
     assigned: set[tuple[int, int]] = set()
     for assign in _assignments(block, name):
-        fibre_token, coord_token = _two_indices(assign, f"{name}[fibre][coordinate]")
-        if fibre_token.text not in chart.fibre_coords:
-            raise _error_at(
-                fibre_token, f"unknown fibre coordinate {fibre_token.text!r}"
-            )
-        fibre = chart.fibre_coords.index(fibre_token.text)
-        coord = _coordinate_position(coord_token, base)
-        if leaf_only and coord >= base.dim_leaf:
-            raise _error_at(
-                coord_token, f"{coord_token.text!r} is not a leaf coordinate"
-            )
-        if (fibre, coord) in assigned:
-            raise _error_at(assign.key, f"duplicate assignment to {name!r}")
-        assigned.add((fibre, coord))
-        _check_expr_vars(
-            assign, allowed_variables(chart), "a connection coefficient"
+        if len(assign.indices) != 2:
+            raise _error_at(assign.key, f"coefficients here are indexed as {name}{usage}")
+        key = tuple(
+            _index_position(token, chart, axis)
+            for token, axis in zip(assign.indices, table_type._axes)
         )
-        if not assign.expr.is_zero():
-            table[(fibre, coord)] = assign.expr
-    return table
-
-
-def _build_splitting(block: RawBlock, name: str, chart: Chart) -> Splitting:
-    base = base_chart(chart)
-    table: dict[tuple[int, int], Expression] = {}
-    assigned: set[tuple[int, int]] = set()
-    for assign in _assignments(block, name):
-        leaf_token, trans_token = _two_indices(assign, f"{name}[leaf][transverse]")
-        leaf = _coordinate_position(leaf_token, base)
-        if leaf >= base.dim_leaf:
-            raise _error_at(leaf_token, f"{leaf_token.text!r} is not a leaf coordinate")
-        trans = _coordinate_position(trans_token, base)
-        if trans < base.dim_leaf:
-            raise _error_at(
-                trans_token, f"{trans_token.text!r} is not a transverse coordinate"
-            )
-        if (leaf, trans) in assigned:
+        if key in assigned:
             raise _error_at(assign.key, f"duplicate assignment to {name!r}")
-        assigned.add((leaf, trans))
-        _check_expr_vars(
-            assign, frozenset(base.coords), "a splitting coefficient (base only)"
-        )
+        assigned.add(key)
+        _check_expr_vars(assign, allowed, what)
         if not assign.expr.is_zero():
-            table[(leaf, trans)] = assign.expr
-    return Splitting(base, table)
+            table[key] = assign.expr
+    return table_type._build(chart, table)
 
 
 def _build_section(block: RawBlock, name: str, chart: BundleChart) -> BundleSection:
@@ -609,10 +580,7 @@ def _build_section(block: RawBlock, name: str, chart: BundleChart) -> BundleSect
             raise _error_at(
                 assign.key, f"section components are indexed as {name}[fibre]"
             )
-        token = assign.indices[0]
-        if token.text not in chart.fibre_coords:
-            raise _error_at(token, f"unknown fibre coordinate {token.text!r}")
-        fibre = chart.fibre_coords.index(token.text)
+        fibre = _index_position(assign.indices[0], chart, "fibre")
         if fibre in components:
             raise _error_at(assign.key, f"duplicate assignment to {name!r}")
         _check_expr_vars(
@@ -687,14 +655,8 @@ def _build_document(blocks: list[RawBlock]) -> Document:
             value = _build_form(block, name, chart, leafwise=True)
         elif kind == "exterior_form":
             value = _build_form(block, name, chart, leafwise=False)
-        elif kind == "connection":
-            value = Connection(bundle, _build_table(block, name, bundle, leaf_only=False))
-        elif kind == "leafwise_connection":
-            value = LeafwiseConnection(
-                bundle, _build_table(block, name, bundle, leaf_only=True)
-            )
-        elif kind == "splitting":
-            value = _build_splitting(block, name, chart)
+        elif kind in _TABLE_KINDS:
+            value = _build_table(block, name, kind, chart)
         elif kind == "section":
             value = _build_section(block, name, bundle)
         else:

@@ -503,6 +503,12 @@ def _decimal_digits(value: Fraction) -> int:
     return digits
 
 
+def _as_expression(value) -> Expression:
+    # A coefficient given as an Expression or as an exact scalar; anything
+    # else is an InputError from constant().
+    return value if isinstance(value, Expression) else Expression.constant(value)
+
+
 def _coerce(value) -> Expression | None:
     # None (so operators return NotImplemented) for non-numbers; a number
     # that is not an exact scalar raises InputError in constant().

@@ -8,151 +8,52 @@ result to the reference.  The leaf-indexed coefficients of the output are
 the given leafwise coefficients verbatim, so restricting the extension
 always recovers the input; verify_extension checks exactly that and exists
 as an executable witness of the statement.
+
+Splittings and soldering forms are coefficient tables of the one type in
+connections.py.  A splitting lives over the adapted base chart, with leaf
+positions as rows and absolute transverse base positions as columns; a
+soldering form has fibre rows and a column for every base position.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .charts import AdaptedChart, BundleChart
-from .errors import ChartMismatchError, InputError
-from .expr import Expression
+from .errors import ChartMismatchError
+from .expr import Expression, _add_into
 from .forms import ExteriorForm
 from .connections import (
     Connection,
     LeafwiseConnection,
     VerticalValuedLeafwiseForm,
-    _normalized_table,
-    _table_lines,
+    _CoefficientTable,
     connection_difference,
     restrict_connection,
 )
 
 
-class Splitting:
+class Splitting(_CoefficientTable):
     """Splitting of the conormal sequence over the base: a table of base-only
     coefficients sending each leafwise basis covector to itself minus a
     combination of transverse ones.  Keys are (leaf position, absolute
     transverse position); missing entries read as zero."""
 
-    __slots__ = ("chart", "coefficients")
-
-    def __init__(self, chart: AdaptedChart, coefficients: Mapping | None = None):
-        if not isinstance(chart, AdaptedChart):
-            raise InputError("Splitting needs an AdaptedChart")
-        self.chart = chart
-        allowed = frozenset(chart.coords)
-        table: dict[tuple[int, int], Expression] = {}
-        for (leaf, trans), value in (coefficients or {}).items():
-            if isinstance(leaf, str):
-                if leaf not in chart.leaf_coords:
-                    raise InputError(f"{leaf!r} is not a leaf coordinate")
-                leaf = chart.leaf_coords.index(leaf)
-            leaf = int(leaf)
-            if not 0 <= leaf < chart.dim_leaf:
-                raise InputError(f"leaf index {leaf} out of range in splitting")
-            if isinstance(trans, str):
-                if trans not in chart.transverse_coords:
-                    raise InputError(f"{trans!r} is not a transverse coordinate")
-                trans = chart.dim_leaf + chart.transverse_coords.index(trans)
-            trans = int(trans)
-            if not chart.dim_leaf <= trans < chart.dim:
-                raise InputError(f"transverse index {trans} out of range in splitting")
-            if (leaf, trans) in table:
-                raise InputError(f"duplicate splitting entry ({leaf}, {trans})")
-            expr = value if isinstance(value, Expression) else Expression.constant(value)
-            extra = expr.variables() - allowed
-            if extra:
-                raise InputError(
-                    f"splitting coefficient mentions fibre or undeclared variable "
-                    f"{sorted(extra)[0]!r}"
-                )
-            if not expr.is_zero():
-                table[(leaf, trans)] = expr
-        self.coefficients = table
-
-    def coefficient(self, leaf, trans) -> Expression:
-        if isinstance(leaf, str):
-            leaf = self.chart.leaf_coords.index(leaf)
-        if isinstance(trans, str):
-            trans = self.chart.dim_leaf + self.chart.transverse_coords.index(trans)
-        return self.coefficients.get((leaf, trans), Expression.zero())
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def assignment_lines(self, name: str) -> list[str]:
-        lines = []
-        for leaf, trans in sorted(self.coefficients):
-            lines.append(
-                f"{name}[{self.chart.leaf_coords[leaf]}]"
-                f"[{self.chart.coords[trans]}] = {self.coefficients[(leaf, trans)]}"
-            )
-        return lines
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.chart == other.chart
-            and self.coefficients == other.coefficients
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        body = "; ".join(self.assignment_lines("B")) or "0"
-        return f"<{body}>"
+    __slots__ = ()
+    _axes = ("leaf", "transverse")
+    _chart_type = AdaptedChart
+    _symbol = "B"
 
 
-class SolderingForm:
+class SolderingForm(_CoefficientTable):
     """Vertical-valued one-form over the whole base: one degree-1 exterior
     form per fibre coordinate, stored as a (fibre, base position) table."""
 
-    __slots__ = ("chart", "coefficients")
-
-    def __init__(self, chart: BundleChart, coefficients: Mapping | None = None):
-        if not isinstance(chart, BundleChart):
-            raise InputError("SolderingForm needs a BundleChart")
-        self.chart = chart
-        self.coefficients = _normalized_table(
-            chart, coefficients, chart.base.coords, 0,
-            frozenset(chart.all_coords), "SolderingForm",
-        )
-
-    def coefficient(self, fibre, coord) -> Expression:
-        if isinstance(fibre, str):
-            fibre = self.chart.fibre_position(fibre)
-        if isinstance(coord, str):
-            coord = self.chart.base.position(coord)
-        return self.coefficients.get((fibre, coord), Expression.zero())
+    __slots__ = ()
+    _axes = ("fibre", "coordinate")
+    _symbol = "sigma"
 
     def row(self, fibre) -> ExteriorForm:
         """The degree-1 exterior form attached to one fibre coordinate."""
-        if isinstance(fibre, str):
-            fibre = self.chart.fibre_position(fibre)
-        comps = {
-            (col,): expr for (row, col), expr in self.coefficients.items() if row == fibre
-        }
-        return ExteriorForm(self.chart, 1, comps)
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def assignment_lines(self, name: str) -> list[str]:
-        return _table_lines(name, self.chart, self.coefficients, self.chart.base.coords, 0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.chart == other.chart
-            and self.coefficients == other.coefficients
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        body = "; ".join(self.assignment_lines("sigma")) or "0"
-        return f"<{body}>"
+        return ExteriorForm._build(self.chart, 1, self._row(fibre))
 
 
 def _require_base_chart(split: Splitting, chart: BundleChart):
@@ -168,9 +69,7 @@ def apply_splitting(
     splitting-weighted sum of the leafwise ones."""
     chart = difference.chart
     _require_base_chart(split, chart)
-    table: dict[tuple[int, int], Expression] = {}
-    for (fibre, leaf), expr in difference.coefficients.items():
-        table[(fibre, leaf)] = expr
+    table = dict(difference.coefficients)
     for fibre in range(chart.fibre_dim):
         for trans in range(chart.dim_leaf, chart.dim):
             total = Expression.zero()
@@ -184,7 +83,7 @@ def apply_splitting(
                 total = total - weight * value
             if not total.is_zero():
                 table[(fibre, trans)] = total
-    return SolderingForm(chart, table)
+    return SolderingForm._build(chart, table)
 
 
 def extend_connection(
@@ -206,13 +105,8 @@ def extend_connection(
     difference = connection_difference(a, restrict_connection(reference))
     soldering = apply_splitting(split, difference)
     merged = dict(reference.coefficients)
-    for key, expr in soldering.coefficients.items():
-        total = merged.get(key, Expression.zero()) + expr
-        if total.is_zero():
-            merged.pop(key, None)
-        else:
-            merged[key] = total
-    return Connection(chart, merged)
+    _add_into(merged, soldering.coefficients)
+    return Connection._build(chart, merged)
 
 
 def verify_extension(
@@ -222,14 +116,7 @@ def verify_extension(
     coefficient by coefficient.  Always true; a False return would flag an
     implementation defect, which is the point of having it executable."""
     restricted = restrict_connection(extend_connection(a, reference, split))
-    keys = set(restricted.coefficients) | set(a.coefficients)
-    for key in keys:
-        delta = restricted.coefficients.get(key, Expression.zero()) - a.coefficients.get(
-            key, Expression.zero()
-        )
-        if not delta.is_zero():
-            return False
-    return True
+    return restricted.coefficients == a.coefficients
 
 
 def extension_dependence(
@@ -246,10 +133,5 @@ def extension_dependence(
     first = extend_connection(a, reference, split_one)
     second = extend_connection(a, reference, split_two)
     table = dict(first.coefficients)
-    for key, expr in second.coefficients.items():
-        total = table.get(key, Expression.zero()) - expr
-        if total.is_zero():
-            table.pop(key, None)
-        else:
-            table[key] = total
-    return SolderingForm(first.chart, table)
+    _add_into(table, second.coefficients, negate=True)
+    return SolderingForm._build(first.chart, table)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .charts import Chart, allowed_variables, base_chart
+from .charts import Chart, _check_component_variables, allowed_variables, base_chart
 from .errors import ChartMismatchError, InputError
-from .expr import Expression, Scalar
+from .expr import Expression, Scalar, _add_into, _as_expression, _is_int
 
 
 def merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
@@ -65,7 +65,7 @@ class _Form:
         degree: int,
         components: Mapping[tuple, Expression | Scalar] | None = None,
     ):
-        if not isinstance(degree, int) or degree < 0:
+        if not _is_int(degree) or degree < 0:
             raise InputError("form degree must be a non-negative integer")
         self.chart = chart
         self.degree = degree
@@ -81,24 +81,36 @@ class _Form:
                 )
             if index in cleaned:
                 raise InputError(f"duplicate component for multi-index {index}")
-            expr = value if isinstance(value, Expression) else Expression.constant(value)
-            extra = expr.variables() - allowed
-            if extra:
-                raise InputError(
-                    f"coefficient mentions undeclared variable {sorted(extra)[0]!r}"
-                )
+            expr = _as_expression(value)
+            _check_component_variables(expr, allowed, "coefficient")
             if not expr.is_zero():
                 cleaned[index] = expr
         self.components = cleaned
 
+    @classmethod
+    def _build(cls, chart: Chart, degree: int, components: dict):
+        # The internal constructor: components maps valid, strictly increasing
+        # multi-indices of this degree to nonzero coefficients over the
+        # chart's variables, and the dict is not shared with anyone else.
+        form = object.__new__(cls)
+        form.chart = chart
+        form.degree = degree
+        form.components = components
+        return form
+
     def _resolve_index(self, index, names, limit) -> tuple[int, ...]:
+        if not isinstance(index, tuple):
+            raise InputError(f"a multi-index is a tuple, not {type(index).__name__}")
         out = []
         for entry in index:
             if isinstance(entry, str):
                 if entry not in names:
                     raise InputError(f"unknown coordinate {entry!r} in multi-index")
                 entry = names.index(entry)
-            entry = int(entry)
+            elif not _is_int(entry):
+                raise InputError(
+                    f"a multi-index entry is a name or an int, not {type(entry).__name__}"
+                )
             if not 0 <= entry < limit:
                 raise InputError(f"index {entry} out of range for {type(self).__name__}")
             out.append(entry)
@@ -147,7 +159,7 @@ class _Form:
 
     def __neg__(self):
         scaled = {index: -expr for index, expr in self.components.items()}
-        return type(self)(self.chart, self.degree, scaled)
+        return self._build(self.chart, self.degree, scaled)
 
     def __sub__(self, other):
         return form_add(self, -other)
@@ -221,13 +233,8 @@ def form_add(a: _Form, b: _Form) -> _Form:
             f"cannot add forms of degrees {a.degree} and {b.degree}"
         )
     merged = dict(a.components)
-    for index, expr in b.components.items():
-        total = merged.get(index, Expression.zero()) + expr
-        if total.is_zero():
-            merged.pop(index, None)
-        else:
-            merged[index] = total
-    return type(a)(a.chart, a.degree, merged)
+    _add_into(merged, b.components)
+    return a._build(a.chart, a.degree, merged)
 
 
 def wedge(a: _Form, b: _Form) -> _Form:
@@ -238,15 +245,9 @@ def wedge(a: _Form, b: _Form) -> _Form:
     for left, f in a.components.items():
         for right, g in b.components.items():
             merged, sign = merge_indices(left, right)
-            if merged is None:
-                continue
-            term = f * g if sign > 0 else -(f * g)
-            total = out.get(merged, Expression.zero()) + term
-            if total.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = total
-    return type(a)(a.chart, a.degree + b.degree, out)
+            if merged is not None:
+                _add_into(out, {merged: f * g}, sign < 0)
+    return a._build(a.chart, a.degree + b.degree, out)
 
 
 def _coboundary(form: _Form, index_range: int, result_kind):
@@ -258,15 +259,9 @@ def _coboundary(form: _Form, index_range: int, result_kind):
             if derivative.is_zero():
                 continue
             merged, sign = merge_indices((direction,), index)
-            if merged is None:
-                continue
-            term = derivative if sign > 0 else -derivative
-            total = out.get(merged, Expression.zero()) + term
-            if total.is_zero():
-                out.pop(merged, None)
-            else:
-                out[merged] = total
-    return result_kind(form.chart, form.degree + 1, out)
+            if merged is not None:
+                _add_into(out, {merged: derivative}, sign < 0)
+    return result_kind._build(form.chart, form.degree + 1, out)
 
 
 def leafwise_differential(form: LeafwiseForm) -> LeafwiseForm:
@@ -295,4 +290,4 @@ def restrict_form(form: ExteriorForm) -> LeafwiseForm:
         for index, expr in form.components.items()
         if all(i < cutoff for i in index)
     }
-    return LeafwiseForm(form.chart, form.degree, kept)
+    return LeafwiseForm._build(form.chart, form.degree, kept)

@@ -1,0 +1,144 @@
+"""Golden outputs: the CLI on every sample, and DSL table-block diagnostics.
+
+`golden/cli_transcript.txt` records, for every sample, every verb and every
+`--name` set below, in text and `--json`, the exit code, stdout and stderr of
+`folicalc.cli.main`, followed by `print_document` of each sample.  The test
+compares it byte for byte.  Regenerate it only for an intended change of
+output, from the repository root:
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); \\
+        import test_golden; test_golden.write_transcript()"
+"""
+
+from __future__ import annotations
+
+import io
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import folicalc as fc
+from folicalc.cli import main
+from folicalc.commands import VERBS
+
+ROOT = Path(__file__).resolve().parent.parent
+TRANSCRIPT = ROOT / "tests" / "golden" / "cli_transcript.txt"
+
+# The README's verify and extend examples, tried on every sample.
+NAME_SETS = (("A", "B", "B0"), ("A", "Gamma", "B"))
+
+
+def _samples() -> list[Path]:
+    return sorted((ROOT / "samples").glob("*.fol"))
+
+
+def _argvs(sample: Path):
+    path = f"samples/{sample.name}"
+    objects = fc.parse_document(sample.read_text()).objects
+    name_sets = [()] + [(obj.name,) for obj in objects] + list(NAME_SETS)
+    for verb in VERBS:
+        for names in name_sets:
+            flags = [arg for name in names for arg in ("--name", name)]
+            yield [verb, path, *flags]
+            yield [verb, path, *flags, "--json"]
+
+
+def render_transcript() -> str:
+    """The transcript text; file paths in it are relative to the repo root."""
+    parts = []
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        for sample in _samples():
+            for argv in _argvs(sample):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                parts.append(
+                    f"$ folicalc {' '.join(argv)}\nexit {code}\n"
+                    f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+                )
+        for sample in _samples():
+            document = fc.parse_document(sample.read_text())
+            parts.append(
+                f"$ print_document samples/{sample.name}\n{fc.print_document(document)}"
+            )
+    finally:
+        os.chdir(cwd)
+    return "\n".join(parts)
+
+
+def write_transcript():
+    TRANSCRIPT.parent.mkdir(exist_ok=True)
+    TRANSCRIPT.write_text(render_transcript())
+
+
+def test_cli_transcript_is_unchanged():
+    assert render_transcript() == TRANSCRIPT.read_text()
+
+
+BUNDLE = "manifold { dim 4 leaf 2 coords z1 z2 z3 z4 }\nbundle { fibre u v }\n"
+BASE = "manifold { dim 4 leaf 2 coords z1 z2 z3 z4 }\n"
+
+# (document, exact `line:col: message`) for every check a table block makes:
+# fibre, coordinate, leaf and transverse names, index count, duplicates and
+# the variables a coefficient may mention, plus which check reports first.
+TABLE_ERRORS = [
+    # connection
+    (BUNDLE + "connection G { G[w][z1] = 1 }", "3:18: unknown fibre coordinate 'w'"),
+    (BUNDLE + "connection G { G[z1][u] = 1 }", "3:18: unknown fibre coordinate 'z1'"),
+    (BUNDLE + "connection G { G[u][q] = 1 }", "3:21: unknown coordinate 'q'"),
+    (BUNDLE + "connection G { G[w][q] = 1 }", "3:18: unknown fibre coordinate 'w'"),
+    (BUNDLE + "connection G { G[u] = 1 }", "3:16: coefficients here are indexed as G[fibre][coordinate]"),
+    (BUNDLE + "connection G { G = 1 }", "3:16: coefficients here are indexed as G[fibre][coordinate]"),
+    (BUNDLE + "connection G { G[u][z1][z2] = 1 }", "3:16: coefficients here are indexed as G[fibre][coordinate]"),
+    (BUNDLE + "connection G { G[u][z3] = 1 G[u][z3] = z1 }", "3:29: duplicate assignment to 'G'"),
+    (BUNDLE + "connection G { G[u][z1] = 0 G[u][z1] = 0 }", "3:29: duplicate assignment to 'G'"),
+    (BUNDLE + "connection G { G[u][z1] = q }", "3:27: variable 'q' is not available in a connection coefficient"),
+    (BUNDLE + "connection G { G[u][z1] = q G[w][z1] = 1 }", "3:27: variable 'q' is not available in a connection coefficient"),
+    (BUNDLE + "connection G { G[u][z1] = 1 G[u][z1] = q }", "3:29: duplicate assignment to 'G'"),
+    (BUNDLE + "connection G { H[u][z1] = 1 }", "3:16: assignments in this block must use its name 'G'"),
+    (BUNDLE + "connection G {\n  G[u][z1] = 1\n  G[v][zz] = 2\n}", "5:8: unknown coordinate 'zz'"),
+    # leafwise_connection
+    (BUNDLE + "leafwise_connection A { A[u][z3] = 1 }", "3:30: 'z3' is not a leaf coordinate"),
+    (BUNDLE + "leafwise_connection A { A[u][q] = 1 }", "3:30: unknown coordinate 'q'"),
+    (BUNDLE + "leafwise_connection A { A[w][z1] = 1 }", "3:27: unknown fibre coordinate 'w'"),
+    (BUNDLE + "leafwise_connection A { A[w][z3] = 1 }", "3:27: unknown fibre coordinate 'w'"),
+    (BUNDLE + "leafwise_connection A { A[u] = 1 }", "3:25: coefficients here are indexed as A[fibre][coordinate]"),
+    (BUNDLE + "leafwise_connection A { A[v][z2] = 1 A[v][z2] = 2 }", "3:38: duplicate assignment to 'A'"),
+    (BUNDLE + "leafwise_connection A { A[u][z1] = u*v*z4 A[u][z2] = q }", "3:54: variable 'q' is not available in a connection coefficient"),
+    # splitting over a bundle
+    (BUNDLE + "splitting B { B[q][z3] = 1 }", "3:17: unknown coordinate 'q'"),
+    (BUNDLE + "splitting B { B[z1][q] = 1 }", "3:21: unknown coordinate 'q'"),
+    (BUNDLE + "splitting B { B[u][z3] = 1 }", "3:17: unknown coordinate 'u'"),
+    (BUNDLE + "splitting B { B[z3][z4] = 1 }", "3:17: 'z3' is not a leaf coordinate"),
+    (BUNDLE + "splitting B { B[z1][z2] = 1 }", "3:21: 'z2' is not a transverse coordinate"),
+    (BUNDLE + "splitting B { B[z3][z1] = 1 }", "3:17: 'z3' is not a leaf coordinate"),
+    (BUNDLE + "splitting B { B[z1] = 1 }", "3:15: coefficients here are indexed as B[leaf][transverse]"),
+    (BUNDLE + "splitting B { B[z1][z3][z4] = 1 }", "3:15: coefficients here are indexed as B[leaf][transverse]"),
+    (BUNDLE + "splitting B { B[z1][z3] = 1 B[z1][z3] = 0 }", "3:29: duplicate assignment to 'B'"),
+    (BUNDLE + "splitting B { B[z1][z3] = u }", "3:27: variable 'u' is not available in a splitting coefficient (base only)"),
+    (BUNDLE + "splitting B { B[z1][z3] = q }", "3:27: variable 'q' is not available in a splitting coefficient (base only)"),
+    (BUNDLE + "splitting B { B[z2][z4] = z1 B[z1][z3] = z2*v }", "3:42: variable 'v' is not available in a splitting coefficient (base only)"),
+    # splitting without a bundle
+    (BASE + "splitting B { B[z1][z3] = u }", "2:27: variable 'u' is not available in a splitting coefficient (base only)"),
+    (BASE + "splitting B { B[z2][z2] = 1 }", "2:21: 'z2' is not a transverse coordinate"),
+    # section
+    (BUNDLE + "section s { s[w] = 1 }", "3:15: unknown fibre coordinate 'w'"),
+    (BUNDLE + "section s { s[z1] = 1 }", "3:15: unknown fibre coordinate 'z1'"),
+    (BUNDLE + "section s { s[u][z1] = 1 }", "3:13: section components are indexed as s[fibre]"),
+    (BUNDLE + "section s { s = 1 }", "3:13: section components are indexed as s[fibre]"),
+    (BUNDLE + "section s { s[u] = 1 s[u] = 2 }", "3:22: duplicate assignment to 's'"),
+    (BUNDLE + "section s { s[u] = u }", "3:20: variable 'u' is not available in a section component (base only)"),
+    (BUNDLE + "section s { s[v] = z1 + v }", "3:20: variable 'v' is not available in a section component (base only)"),
+    (BUNDLE + "section s { s[u] = q s[w] = 1 }", "3:20: variable 'q' is not available in a section component (base only)"),
+]
+
+
+@pytest.mark.parametrize("text, expected", TABLE_ERRORS)
+def test_table_block_diagnostics_are_unchanged(text, expected):
+    with pytest.raises(fc.ParseError) as info:
+        fc.parse_document(text)
+    assert str(info.value) == expected
