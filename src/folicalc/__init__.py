@@ -11,7 +11,6 @@ plus the `folicalc` command drive the same operations from files.
 from .errors import ChartMismatchError, FolicalcError, InputError, ParseError
 from .expr import (
     Expression,
-    Rational,
     is_identifier,
 )
 from .charts import (
@@ -84,7 +83,6 @@ __all__ = [
     "LeafwiseForm",
     "LeafwiseJetPoint",
     "ParseError",
-    "Rational",
     "Report",
     "SolderingForm",
     "Splitting",

@@ -87,12 +87,15 @@ class _CoefficientTable:
         self.chart = chart
         allowed = allowed_variables(chart)
         table: dict[tuple[int, int], Expression] = {}
+        # Zeros are not stored, so duplicates are caught on every resolved key.
+        seen = set()
         for key, value in (coefficients or {}).items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise InputError(f"{what} keys are (row, column) pairs, not {key!r}")
             key = self._key(*key)
-            if key in table:
+            if key in seen:
                 raise InputError(f"duplicate entry {key} in {what}")
+            seen.add(key)
             expr = _as_expression(value)
             _check_component_variables(expr, allowed, f"{what} coefficient")
             if not expr.is_zero():
@@ -190,8 +193,13 @@ class BundleSection:
         self.chart = chart
         if isinstance(components, Mapping):
             dense = [Expression.zero()] * chart.fibre_dim
+            seen = set()
             for key, value in components.items():
-                dense[_position(chart, "fibre", key)] = value
+                position = _position(chart, "fibre", key)
+                if position in seen:
+                    raise InputError(f"duplicate component for fibre {key!r}")
+                seen.add(position)
+                dense[position] = value
             components = dense
         components = tuple(_as_expression(c) for c in components)
         if len(components) != chart.fibre_dim:

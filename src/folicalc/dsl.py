@@ -41,9 +41,9 @@ factor is 1, whatever its base (`0^0` included).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .charts import (
@@ -257,8 +257,9 @@ class _Parser:
             self.advance()
         if not numerator:
             return Expression.zero()
+        g = math.gcd(numerator, denominator)
         term = Expression._build(
-            {tuple(sorted(exponents.items())): Fraction(numerator, denominator)}
+            {tuple(sorted(exponents.items())): numerator // g}, denominator // g
         )
         for group in groups:
             term = term * group

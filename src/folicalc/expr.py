@@ -1,50 +1,51 @@
 """Exact sparse polynomial arithmetic over the rationals in named variables.
 
-An Expression is a sparse map from monomials to nonzero Fraction
-coefficients.  Each monomial is a tuple of (variable, exponent) pairs sorted
-by variable name (exponents are positive); the empty tuple is the constant
-monomial, and the zero polynomial is the empty map.  Because only nonzero
-coefficients are stored, map equality coincides with equality in the
-polynomial ring, which is what makes every identity check in this package
-an exact, decidable test.
+An Expression is a map from monomials to nonzero int numerators over one int
+denominator, the layout of FLINT's fmpq_poly (Hart, "FLINT: Fast Library for
+Number Theory", ICMS 2010).  A monomial is a tuple of (variable, exponent)
+pairs sorted by name, exponents positive; () is the constant monomial.  The
+layout is canonical: the denominator is positive and shares no prime with all
+the numerators, and zero is the empty map over 1.  So ring equality is
+equality of the stored maps and denominators, and every identity check in
+this package is an exact, decidable test.
 
-The map is unordered, so ring operations never sort.  The canonical order,
-descending graded lexicographic (total degree first, then lexicographically
-by variable name), is produced the first time `terms` is read, the
-expression is iterated or it is printed, and is cached on the immutable
-object.  Printing is therefore canonical too:
+Ring operations work on ints.  Sums bring numerators to the lcm of the
+denominators, products multiply them over the product of denominators, and
+the factor left shared with every numerator is found by a bounded gcd.  For
+sums the bound is Henrici's ("A subroutine for computations with rational
+numbers", JACM 1956): a prime stays shared only if it divides two parts'
+denominators, so the gcd is taken against the lcm of gcd(lcm so far, next
+denominator), and integer polynomials and coprime denominators take none.
+For products it is Gauss's lemma: for canonical factors a and b the shared
+factor is exactly gcd(den a, numerators of b) * gcd(den b, numerators of a).
+
+Fractions are built only where coefficients are read: `terms`, iteration,
+printing, `evaluate` and `constant_value`.  `terms` computes and caches the
+canonical order, descending graded lex (total degree, then lexicographic by
+name), so printing is canonical, and the printed text parses back by
+folicalc.dsl.parse_expression to an equal Expression:
 
     Expression.variable("z1") ** 2 - Expression.variable("z2") ** 2
     # prints as "z1^2 - z2^2"
 
-The printed text is valid input for folicalc.dsl.parse_expression and parses
-back to an equal Expression.
+Constructors accept only int (not bool) and Fraction scalars and raise
+InputError for anything else, floats included.
 
-Coefficients are exact: constructors accept only int (not bool) and Fraction
-scalars and raise InputError for anything else, floats included.
-
-Products are where the time goes (every identity check ends in them), so a
-product whose factors both have two or more terms, and at least
-_PACKED_MIN_PAIRS pairs of terms between them, runs through a dedicated
-kernel after Monagan and Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors" (CASC 2007).  Each monomial becomes one
-int with a bit field per variable, wide enough that adding two keys never
-carries, and each factor's coefficients become integer numerators over the
-factor's least common denominator.  The inner loop is then one int addition
-and one int multiply-add per pair of terms; the Fraction normalisation and
-the monomial tuple are paid once per distinct output term, not once per pair.
-That wins when products of terms collide, as in powers and products of dense
-polynomials: about 7x on the products the benchmark's ring workload makes.
-Packing and unpacking cost a fixed amount, though, and when nothing collides
-the kernel does not win back the per-output work.  Timed against the direct
-loop (2-vCPU VM, Python 3.11.7): 2.5x slower at one pair; dense factors win from 9 pairs (3x3: 0.8x,
-4x4: 0.55x); sparse random factors break even at 20 to 25 (4x4: 1.1x, 5x5:
-0.9x); a single-term factor never collides and stays 1.1x (monomial) to
-1.6x (constant) slower at any size.  _PACKED_MIN_PAIRS = 16 sits between
-the dense and the sparse crossover; on the operands the benchmark's sweep
-and cli workloads multiply at 16 to 19 pairs the kernel takes 1.04x the
-loop's time.  Other products keep the direct loop over Fraction
-coefficients and tuple monomials.
+A product whose factors both have two or more terms, and at least
+_PACKED_MIN_PAIRS pairs of terms between them, runs through a kernel after
+Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors" (CASC 2007).  Each monomial becomes one int with a
+bit field per variable, wide enough that adding two keys never carries, so a
+pair of terms costs one int addition and one multiply-add, and the monomial
+tuple is built once per output term.  Packing costs a fixed amount, and only
+collisions repay it.  Kernel time over direct-loop time (2-vCPU VM, Python
+3.11.7) is 1.6 to 5.4 below 16 pairs on every operand set timed: dense
+factors in two variables, sparse ones in six, and the products the
+benchmark's workloads make.  From 16 to 63 pairs it is 0.87 to 1.5 on dense
+factors, 1.0 to 1.6 on sparse ones and 1.4 to 5.9 on the ring workload's
+products; sweep and cli make none above 19 pairs.  From 64 pairs it is 0.69
+to 0.78 on dense factors, 1.0 on sparse ones and 0.33 to 1.0 on ring's, so
+_PACKED_MIN_PAIRS = 64, the smallest size at which the kernel loses on none.
 """
 
 from __future__ import annotations
@@ -54,13 +55,9 @@ import re
 import sys
 from fractions import Fraction
 from numbers import Number
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InputError
-
-# The exact scalar field.  Fraction already maintains the invariants we need:
-# reduced terms, positive denominator, arbitrary-precision integers.
-Rational = Fraction
 
 # Monomial: ((variable, exponent), ...) sorted by variable, every exponent >= 1.
 # The empty tuple is the constant monomial.
@@ -70,13 +67,10 @@ Scalar = Union[int, Fraction]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 # Products of at least this many term pairs (len(a) * len(b)), both factors
 # having two or more terms, go through _packed_product; see the module
 # docstring for the measurement behind the value.
-_PACKED_MIN_PAIRS = 16
+_PACKED_MIN_PAIRS = 64
 
 
 def is_identifier(name: str) -> bool:
@@ -88,15 +82,28 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _scalar(value) -> Fraction:
+def _scalar(value) -> tuple[int, int]:
     # The exactness boundary: a float would silently become its binary value.
+    # Returns the reduced numerator and positive denominator.
     if isinstance(value, Fraction):
-        return value
+        return value.numerator, value.denominator
     if _is_int(value):
-        return Fraction(value)
+        return value, 1
     raise InputError(
         f"coefficient must be an int or Fraction, not {type(value).__name__}"
     )
+
+
+def _reduced(coeffs: dict, den: int, bound: int) -> "Expression":
+    # coeffs / den in canonical form, when the factor den shares with every
+    # numerator divides bound.
+    if not coeffs:
+        return Expression._build({})
+    if bound != 1:
+        g = math.gcd(bound, *coeffs.values())
+        if g != 1:
+            return Expression._build({m: c // g for m, c in coeffs.items()}, den // g)
+    return Expression._build(coeffs, den)
 
 
 def _term_order_key(item: tuple[Monomial, Fraction]):
@@ -133,9 +140,9 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _packed_product(
-    a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]
-) -> dict[Monomial, Fraction]:
-    # a * b with packed exponent keys and integer coefficients.  Each
+    a: Mapping[Monomial, int], b: Mapping[Monomial, int]
+) -> dict[Monomial, int]:
+    # The nonzero numerators of a * b, with packed exponent keys.  Each
     # variable owns a bit field wide enough for the largest exponent sum it
     # can reach, so adding two keys adds exponents field by field without
     # carries, and the keys of distinct product monomials stay distinct.
@@ -154,73 +161,77 @@ def _packed_product(
         shifts[name] = shift
         fields.append((name, shift, (1 << width) - 1))
         shift += width
-
-    def pack(coeffs):
-        # Integer numerators over the least common denominator.
-        den = math.lcm(*(c.denominator for c in coeffs.values()))
-        rows = [
-            (sum(e << shifts[v] for v, e in mono), c.numerator * (den // c.denominator))
-            for mono, c in coeffs.items()
-        ]
-        return rows, den
-
-    left, den_a = pack(a)
-    right, den_b = pack(b)
+    left = [(sum(e << shifts[v] for v, e in mono), c) for mono, c in a.items()]
+    right = [(sum(e << shifts[v] for v, e in mono), c) for mono, c in b.items()]
     acc: dict[int, int] = {}
     get = acc.get
     for key_a, num_a in left:
         for key_b, num_b in right:
             key = key_a + key_b
             acc[key] = get(key, 0) + num_a * num_b
-    den = den_a * den_b
-    # Equal numerators share one normalised Fraction: products repeat
-    # coefficient values (binomials, small integers) far more than monomials.
-    fractions: dict[int, Fraction] = {}
-    product: dict[Monomial, Fraction] = {}
-    for key, num in acc.items():
-        if num:
-            coeff = fractions.get(num)
-            if coeff is None:
-                coeff = fractions[num] = Fraction(num, den)
-            mono = tuple([
-                (name, exponent)
-                for name, shift, mask in fields
-                if (exponent := (key >> shift) & mask)
-            ])
-            product[mono] = coeff
-    return product
+    return {
+        tuple([
+            (name, exponent)
+            for name, shift, mask in fields
+            if (exponent := (key >> shift) & mask)
+        ]): num
+        for key, num in acc.items()
+        if num
+    }
 
 
-def _add_into(
-    acc: dict[Monomial, Fraction], coeffs: Mapping[Monomial, Fraction], negate=False
-):
-    # acc += coeffs (or -= with negate), keeping acc free of zero coefficients.
-    for mono, coeff in coeffs.items():
+def _add_into(acc: dict, entries: Mapping, negate=False):
+    # acc += entries (or -= with negate), keeping acc free of zero values.
+    # Values are int numerators here, Expressions in the coefficient tables.
+    for key, value in entries.items():
         if negate:
-            coeff = -coeff
-        old = acc.get(mono)
+            value = -value
+        old = acc.get(key)
         if old is None:
-            acc[mono] = coeff
+            acc[key] = value
         else:
-            total = old + coeff
+            total = old + value
             if total:
-                acc[mono] = total
+                acc[key] = total
             else:
-                del acc[mono]
+                del acc[key]
+
+
+def _linear(parts: Sequence[tuple["Expression", bool]]) -> "Expression":
+    # The sum of the parts, each negated where its flag is set, over the lcm
+    # of their denominators.  Henrici's bound on the factor left shared with
+    # every numerator (see the module docstring) is folded with the lcm.
+    den = bound = 1
+    for part, _ in parts:
+        if part._den != 1:
+            g = math.gcd(den, part._den)
+            if g != 1:
+                bound = math.lcm(bound, g)
+            den = den // g * part._den
+    acc: dict[Monomial, int] = {}
+    for part, negate in parts:
+        scale = den // part._den
+        coeffs = part._coeffs if scale == 1 else {m: c * scale for m, c in part._coeffs.items()}
+        if acc or negate:
+            _add_into(acc, coeffs, negate)
+        else:
+            acc = dict(coeffs)
+    return _reduced(acc, den, bound)
 
 
 class Expression:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
-    # _coeffs is the only state set at construction; _terms (the canonical
-    # order) and _hash are filled in on first use.
-    __slots__ = ("_coeffs", "_terms", "_hash")
+    # _coeffs (int numerators) and _den are the only state set at
+    # construction; _terms (the canonical order, with Fraction coefficients)
+    # and _hash are filled in on first use.
+    __slots__ = ("_coeffs", "_den", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        accumulated: dict[Monomial, Fraction] = {}
+        parts = []
         for mono, coeff in (terms or {}).items():
-            coeff = _scalar(coeff)
-            if coeff == 0:
+            num, den = _scalar(coeff)
+            if not num:
                 continue
             key = tuple(sorted((v, e) for v, e in mono))
             for name, exponent in key:
@@ -232,15 +243,18 @@ class Expression:
                     )
             if len({v for v, _ in key}) != len(key):
                 raise InputError("monomial repeats a variable")
-            accumulated[key] = accumulated.get(key, _ZERO) + coeff
-        self._coeffs = {m: c for m, c in accumulated.items() if c}
+            parts.append((Expression._build({key: num}, den), False))
+        total = _linear(parts)
+        self._coeffs, self._den = total._coeffs, total._den
 
     @staticmethod
-    def _build(coeffs: dict[Monomial, Fraction]) -> "Expression":
+    def _build(coeffs: dict[Monomial, int], den: int = 1) -> "Expression":
         # The internal constructor: keys are canonical monomials, values are
-        # nonzero Fractions, and the dict is not shared with anyone else.
+        # nonzero ints, (coeffs, den) is canonical (see the module docstring),
+        # and the dict is not shared with anyone else.
         expr = object.__new__(Expression)
         expr._coeffs = coeffs
+        expr._den = den
         return expr
 
     # -- constructors ------------------------------------------------------
@@ -255,14 +269,14 @@ class Expression:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Expression":
-        value = _scalar(value)
-        return cls._build({(): value} if value else {})
+        num, den = _scalar(value)
+        return cls._build({(): num}, den) if num else cls._build({})
 
     @classmethod
     def variable(cls, name: str) -> "Expression":
         if not is_identifier(name):
             raise InputError(f"invalid variable name {name!r}")
-        return cls._build({((name, 1),): _ONE})
+        return cls._build({((name, 1),): 1})
 
     @staticmethod
     def sum(
@@ -274,7 +288,7 @@ class Expression:
         Linear in the total number of terms, where folding `a + b` over a
         long sequence copies the growing partial sum at every step.
         """
-        acc: dict[Monomial, Fraction] = {}
+        signed = []
         for negate, group in ((False, parts), (True, minus)):
             for part in group:
                 coerced = _coerce(part)
@@ -282,8 +296,8 @@ class Expression:
                     raise InputError(
                         f"cannot add {type(part).__name__} to an expression"
                     )
-                _add_into(acc, coerced._coeffs, negate)
-        return Expression._build(acc)
+                signed.append((coerced, negate))
+        return _linear(signed)
 
     # -- inspection --------------------------------------------------------
 
@@ -291,13 +305,15 @@ class Expression:
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         """(monomial, coefficient) pairs in canonical order.
 
-        Terms are stored unordered; the descending graded lex order is
-        computed on the first read and cached.
+        Terms are stored unordered as int numerators over one denominator;
+        the Fractions and the descending graded lex order are computed on the
+        first read and cached.
         """
         try:
             return self._terms
         except AttributeError:
-            self._terms = tuple(sorted(self._coeffs.items(), key=_term_order_key))
+            items = ((m, Fraction(c, self._den)) for m, c in self._coeffs.items())
+            self._terms = tuple(sorted(items, key=_term_order_key))
             return self._terms
 
     def is_zero(self) -> bool:
@@ -314,9 +330,9 @@ class Expression:
     def constant_value(self) -> Fraction | None:
         """The value of a constant polynomial, or None if non-constant."""
         if not self._coeffs:
-            return _ZERO
-        if len(self._coeffs) == 1:
-            return self._coeffs.get(())
+            return Fraction(0)
+        if len(self._coeffs) == 1 and () in self._coeffs:
+            return Fraction(self._coeffs[()], self._den)
         return None
 
     # -- ring operations ---------------------------------------------------
@@ -325,45 +341,45 @@ class Expression:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        big, small = self._coeffs, other._coeffs
-        if len(big) < len(small):
-            big, small = small, big
-        merged = dict(big)
-        _add_into(merged, small)
-        return Expression._build(merged)
+        return _linear(((self, False), (other, False)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expression":
-        return Expression._build({m: -c for m, c in self._coeffs.items()})
+        return Expression._build({m: -c for m, c in self._coeffs.items()}, self._den)
 
     def __sub__(self, other) -> "Expression":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _linear(((self, False), (other, True)))
 
     def __rsub__(self, other) -> "Expression":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _linear(((other, False), (self, True)))
 
     def __mul__(self, other) -> "Expression":
         other = _coerce(other)
         if other is None:
             return NotImplemented
         left, right = self._coeffs, other._coeffs
+        if not left or not right:
+            return Expression._build({})
         if len(left) > 1 and len(right) > 1 and len(left) * len(right) >= _PACKED_MIN_PAIRS:
-            return Expression._build(_packed_product(left, right))
-        product: dict[Monomial, Fraction] = {}
-        for mono_a, coeff_a in left.items():
-            for mono_b, coeff_b in right.items():
-                mono = _merge_monomials(mono_a, mono_b)
-                coeff = coeff_a * coeff_b
-                old = product.get(mono)
-                product[mono] = coeff if old is None else old + coeff
-        return Expression._build({m: c for m, c in product.items() if c})
+            product = _packed_product(left, right)
+        else:
+            product = {}
+            for mono_a, num_a in left.items():
+                for mono_b, num_b in right.items():
+                    mono = _merge_monomials(mono_a, mono_b)
+                    product[mono] = product.get(mono, 0) + num_a * num_b
+        # Gauss's lemma: the exact factor the numerators share with the
+        # product of the denominators (see the module docstring).
+        g = math.gcd(self._den, *right.values()) * math.gcd(other._den, *left.values())
+        product = {m: c // g for m, c in product.items() if c}
+        return Expression._build(product, self._den * other._den // g)
 
     __rmul__ = __mul__
 
@@ -385,8 +401,9 @@ class Expression:
     def partial(self, variable: str) -> "Expression":
         """Formal partial derivative with respect to a variable name."""
         # Lowering one exponent maps distinct monomials to distinct monomials,
-        # so no two terms collide and no coefficient cancels.
-        out: dict[Monomial, Fraction] = {}
+        # so no two terms collide and no numerator cancels; the exponents
+        # may share a factor with the denominator, though.
+        out: dict[Monomial, int] = {}
         for mono, coeff in self._coeffs.items():
             for position, (name, exponent) in enumerate(mono):
                 if name != variable:
@@ -401,7 +418,7 @@ class Expression:
                     )
                 out[reduced] = coeff * exponent
                 break
-        return Expression._build(out)
+        return _reduced(out, self._den, self._den)
 
     def substitute(self, bindings: Mapping[str, "Expression | Scalar"]) -> "Expression":
         """Simultaneous substitution of expressions for variables."""
@@ -413,7 +430,7 @@ class Expression:
             resolved[name] = coerced
         parts = []
         for mono, coeff in self._coeffs.items():
-            term = Expression.constant(coeff)
+            term = _reduced({(): coeff}, self._den, self._den)
             for name, exponent in mono:
                 factor = resolved.get(name)
                 if factor is None:
@@ -424,26 +441,30 @@ class Expression:
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; every variable must be bound."""
-        total = _ZERO
+        total = 0
         for mono, coeff in self._coeffs.items():
             term = coeff
             for name, exponent in mono:
                 if name not in values:
                     raise InputError(f"no value bound for variable {name!r}")
-                term *= _scalar(values[name]) ** exponent
+                term *= Fraction(*_scalar(values[name])) ** exponent
             total += term
-        return total
+        return Fraction(total, self._den)
 
     # -- equality and printing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Expression) and self._coeffs == other._coeffs
+        return (
+            isinstance(other, Expression)
+            and self._den == other._den
+            and self._coeffs == other._coeffs
+        )
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(frozenset(self._coeffs.items()))
+            self._hash = hash((self._den, frozenset(self._coeffs.items())))
             return self._hash
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:

@@ -73,14 +73,17 @@ class _Form:
         names = base_chart(chart).coords
         allowed = allowed_variables(chart)
         cleaned: dict[tuple[int, ...], Expression] = {}
+        # Zeros are not stored, so duplicates are caught on every resolved index.
+        seen = set()
         for index, value in (components or {}).items():
             index = self._resolve_index(index, names, limit)
             if len(index) != degree:
                 raise InputError(
                     f"multi-index {index} has length {len(index)}, form degree is {degree}"
                 )
-            if index in cleaned:
+            if index in seen:
                 raise InputError(f"duplicate component for multi-index {index}")
+            seen.add(index)
             expr = _as_expression(value)
             _check_component_variables(expr, allowed, "coefficient")
             if not expr.is_zero():

@@ -57,15 +57,78 @@ def schoolbook_product(a, b) -> dict:
     Monomials are merged as exponent dicts and the sums collected in a dict,
     independently of the ring's own product code.
     """
+    return dict_product(dict(a.terms), dict(b.terms))
+
+
+# -- ring operations on {monomial: Fraction} dicts --------------------------------
+#
+# Each takes and returns plain dicts of nonzero Fraction coefficients, one
+# Fraction operation per step, with no shared denominator and no gcd bound:
+# the reference the int-numerator layout of Expression is checked against.
+
+
+def _merge(mono_a, mono_b) -> tuple:
+    exponents = dict(mono_a)
+    for name, exponent in mono_b:
+        exponents[name] = exponents.get(name, 0) + exponent
+    return tuple(sorted(exponents.items()))
+
+
+def _collect(pairs) -> dict:
     total = {}
-    for mono_a, coeff_a in a.terms:
-        for mono_b, coeff_b in b.terms:
-            exponents = dict(mono_a)
-            for name, exponent in mono_b:
-                exponents[name] = exponents.get(name, 0) + exponent
-            key = tuple(sorted(exponents.items()))
-            total[key] = total.get(key, 0) + coeff_a * coeff_b
+    for key, coeff in pairs:
+        total[key] = total.get(key, 0) + Fraction(coeff)
     return {key: coeff for key, coeff in total.items() if coeff}
+
+
+def dict_from_entries(entries) -> dict:
+    """The constructor: (monomial in any order, scalar) pairs summed."""
+    return _collect((tuple(sorted(mono)), coeff) for mono, coeff in entries)
+
+
+def dict_sum(parts, minus=()) -> dict:
+    pairs = [item for part in parts for item in part.items()]
+    pairs += [(key, -coeff) for part in minus for key, coeff in part.items()]
+    return _collect(pairs)
+
+
+def dict_product(a, b) -> dict:
+    return _collect(
+        (_merge(mono_a, mono_b), coeff_a * coeff_b)
+        for mono_a, coeff_a in a.items()
+        for mono_b, coeff_b in b.items()
+    )
+
+
+def dict_power(a, exponent) -> dict:
+    result = {(): Fraction(1)}
+    for _ in range(exponent):
+        result = dict_product(result, a)
+    return result
+
+
+def dict_partial(a, variable) -> dict:
+    pairs = []
+    for mono, coeff in a.items():
+        exponents = dict(mono)
+        power = exponents.pop(variable, 0)
+        if power:
+            if power > 1:
+                exponents[variable] = power - 1
+            pairs.append((tuple(sorted(exponents.items())), coeff * power))
+    return _collect(pairs)
+
+
+def dict_substitute(a, bindings) -> dict:
+    """Simultaneous substitution of {monomial: Fraction} dicts for names."""
+    total = {}
+    for mono, coeff in a.items():
+        term = {(): coeff}
+        for name, exponent in mono:
+            factor = bindings.get(name, {((name, 1),): Fraction(1)})
+            term = dict_product(term, dict_power(factor, exponent))
+        total = dict_sum([total, term])
+    return total
 
 
 def parse_tree_value(tree) -> fc.Expression:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import folicalc as fc
 from folicalc import Expression
+from folicalc.expr import _PACKED_MIN_PAIRS
 
 import oracles
 import randgen
@@ -324,6 +326,11 @@ kernel_factors = st.one_of(
 
 
 def _assert_canonical(e):
+    # The stored layout: int numerators over one positive denominator that
+    # shares no factor with all of them, no zero numerator, zero over 1.
+    assert type(e._den) is int and e._den > 0
+    assert all(type(num) is int and num != 0 for num in e._coeffs.values())
+    assert math.gcd(e._den, *e._coeffs.values()) == 1
     for mono, coeff in e.terms:
         assert type(coeff) is Fraction and coeff != 0
         names = [name for name, _ in mono]
@@ -487,3 +494,185 @@ def test_parser_matches_ring_op_oracle(tree, rng):
     parsed = fc.parse_expression(text)
     assert parsed == oracles.parse_tree_value(tree), text
     _assert_canonical(parsed)
+
+
+# -- the int-numerator layout against Fraction-dict references ----------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+# Smooth, prime and 16-digit denominators: shared factors, coprime ones, and
+# numerators far past a machine word once brought over a common denominator.
+layout_denominators = st.one_of(
+    st.builds(lambda a, b: 2**a * 3**b, st.integers(0, 6), st.integers(0, 4)),
+    st.sampled_from(PRIMES),
+    st.integers(10**15, 10**16 - 1),
+)
+layout_scalars = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12) | st.integers(-(10**16), 10**16), layout_denominators),
+    st.integers(-9, 9),
+)
+layout_names = ("x", "y", "z1", "a_b")
+layout_monomials = st.builds(
+    lambda d: tuple(sorted(d.items())),
+    st.dictionaries(st.sampled_from(layout_names), st.integers(1, 3), max_size=3),
+)
+# Factor sizes on either side of the packed kernel's threshold: any product
+# of two small factors takes the direct loop, any of two large ones the kernel.
+_SMALL = math.isqrt(_PACKED_MIN_PAIRS - 1)
+small_factors = st.one_of(
+    st.builds(Expression, st.dictionaries(layout_monomials, layout_scalars, max_size=_SMALL)),
+    st.builds(Expression.constant, layout_scalars),
+    st.just(Expression.zero()),
+)
+tiny_factors = st.one_of(
+    st.builds(Expression, st.dictionaries(layout_monomials, layout_scalars, max_size=3)),
+    st.builds(Expression.constant, layout_scalars),
+)
+large_factors = st.builds(
+    Expression,
+    st.dictionaries(
+        layout_monomials, layout_scalars.filter(bool), min_size=_SMALL + 1, max_size=_SMALL + 4
+    ),
+)
+
+
+def _assert_layout(e, expected):
+    _assert_canonical(e)
+    assert dict(e.terms) == expected
+
+
+def _as_dict(scalar):
+    return {(): Fraction(scalar)} if scalar else {}
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(
+        st.builds(lambda m, flip: m[::-1] if flip else m, layout_monomials, st.booleans()),
+        layout_scalars,
+        max_size=6,
+    ),
+    layout_scalars,
+    st.sampled_from(layout_names),
+)
+def test_constructors_are_canonical(entries, scalar, name):
+    # Keys in either order collide once sorted, so entries merge and cancel.
+    _assert_layout(Expression(entries), oracles.dict_from_entries(entries.items()))
+    _assert_layout(Expression.constant(scalar), _as_dict(scalar))
+    _assert_layout(Expression.variable(name), {((name, 1),): 1})
+
+
+@settings(deadline=None)
+@given(st.lists(small_factors, max_size=5), st.lists(small_factors, max_size=3))
+def test_sums_are_canonical(parts, minus):
+    expected = oracles.dict_sum([dict(p.terms) for p in parts], [dict(m.terms) for m in minus])
+    _assert_layout(Expression.sum(parts, minus), expected)
+
+
+@settings(deadline=None)
+@given(small_factors, small_factors, layout_scalars)
+def test_binary_operations_are_canonical(a, b, scalar):
+    da, db, dc = dict(a.terms), dict(b.terms), _as_dict(scalar)
+    _assert_layout(a + b, oracles.dict_sum([da, db]))
+    _assert_layout(a - b, oracles.dict_sum([da], [db]))
+    _assert_layout(scalar - a, oracles.dict_sum([dc], [da]))
+    _assert_layout(-a, oracles.dict_sum([], [da]))
+    _assert_layout(a * b, oracles.dict_product(da, db))
+    _assert_layout(b * a, oracles.dict_product(db, da))
+    _assert_layout(a * scalar, oracles.dict_product(da, dc))
+    _assert_layout(Expression.constant(scalar) * a, oracles.dict_product(dc, da))
+
+
+@settings(deadline=None, max_examples=60)
+@given(large_factors, large_factors)
+def test_packed_products_are_canonical(a, b):
+    assert len(a.terms) * len(b.terms) >= _PACKED_MIN_PAIRS
+    da, db = dict(a.terms), dict(b.terms)
+    _assert_layout(a * b, oracles.dict_product(da, db))
+    _assert_layout(b * a, oracles.dict_product(db, da))
+    plus, minus = oracles.dict_sum([da, db]), oracles.dict_sum([da], [db])
+    _assert_layout((a + b) * (a - b), oracles.dict_product(plus, minus))
+
+
+@settings(deadline=None)
+@given(tiny_factors, st.integers(0, 4), st.sampled_from(layout_names), tiny_factors, tiny_factors)
+def test_power_partial_and_substitute_are_canonical(a, n, v, s, t):
+    da = dict(a.terms)
+    _assert_layout(a**n, oracles.dict_power(da, n))
+    _assert_layout(a.partial(v), oracles.dict_partial(da, v))
+    bindings = {"x": s, v: t}
+    expected = oracles.dict_substitute(da, {k: dict(e.terms) for k, e in bindings.items()})
+    _assert_layout(a.substitute(bindings), expected)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(-30, 30), layout_denominators, layout_monomials), max_size=5))
+def test_parsed_expressions_are_canonical(terms):
+    # Literals are written unreduced ("6/4"), one term per entry.
+    text = " + ".join(
+        f"{n}/{d}" + "".join(f"*{v}^{e}" for v, e in mono) for n, d, mono in terms
+    ) or "0"
+    expected = oracles.dict_from_entries((mono, Fraction(n, d)) for n, d, mono in terms)
+    parsed = fc.parse_expression(text)
+    _assert_layout(parsed, expected)
+    _assert_layout(fc.parse_expression(str(parsed)), expected)
+
+
+x = Expression.variable("x")
+y = Expression.variable("y")
+half = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: x * half + x * half, {(("x", 1),): 1}),
+        (lambda: Expression.sum([x * half, x * half]), {(("x", 1),): 1}),
+        (lambda: 2 * (x * half), {(("x", 1),): 1}),
+        (lambda: Expression.constant(2) * (x * half), {(("x", 1),): 1}),
+        (lambda: (x + y) * (x - y), {(("x", 2),): 1, (("y", 2),): -1}),
+        (
+            lambda: (x * half + y * Fraction(1, 3)) * (x * half - y * Fraction(1, 3)),
+            {(("x", 2),): Fraction(1, 4), (("y", 2),): Fraction(-1, 9)},
+        ),
+        (lambda: (x**2 * half).partial("x"), {(("x", 1),): 1}),
+        (lambda: fc.parse_expression("1/2*x + 1/2*x - 6/4"), {(("x", 1),): 1, (): Fraction(-3, 2)}),
+        (lambda: x * half - x * half, {}),
+        (lambda: (x * half) * 0, {}),
+    ],
+)
+def test_cancellation_leaves_canonical_form(build, expected):
+    _assert_layout(build(), expected)
+
+
+def _primes(count, limit=20000):
+    # Sieve of Eratosthenes; the 2000th prime is 17389.
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for n in range(2, math.isqrt(limit) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytearray(len(range(n * n, limit, n)))
+    return [n for n in range(limit) if sieve[n]][:count]
+
+
+def test_distinct_prime_denominators_stay_bounded():
+    # Each of k terms over its own prime: the shared denominator is the
+    # product of all k primes (~25k bits) and every numerator nearly as
+    # large, the worst case for one common denominator.  The gcd bounds keep
+    # this at ~0.7 s; taking every gcd against the whole denominator, or
+    # losing the Gauss bound on products, shows up as seconds.
+    k = 2000
+    primes = _primes(k)
+    text = " + ".join(f"1/{p}*z{i % 7}^{i // 7 + 1}" for i, p in enumerate(primes))
+    start = time.perf_counter()
+    e = fc.parse_expression(text)
+    printed = str(e)
+    derivative = e.partial("z1")
+    doubled = e + e
+    binomial = fc.parse_expression("z1 + 1/3")
+    product = e * binomial
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
+    assert len(e.terms) == k and printed.count(" + ") == k - 1
+    assert len(derivative.terms) == len([i for i in range(k) if i % 7 == 1])
+    assert dict(doubled.terms) == {mono: 2 * c for mono, c in e.terms}
+    assert doubled._den * 2 == e._den
+    assert dict(product.terms) == oracles.dict_product(dict(e.terms), dict(binomial.terms))

@@ -40,6 +40,24 @@ def test_positions_are_exact_ints(build):
         build()
 
 
+z2 = Expression.variable("z2")
+
+
+# One slot given once by name and once by position; a zero value must not
+# hide the repeat.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fc.BundleSection(CHART, {"u": z1, 0: z2}),
+        lambda: fc.Connection(CHART, {("u", "z1"): 0, (0, 0): z1}),
+        lambda: fc.LeafwiseForm(CHART, 1, {("z1",): 0, (0,): z1}),
+    ],
+)
+def test_duplicate_entries_are_rejected(build):
+    with pytest.raises(fc.InputError, match="duplicate"):
+        build()
+
+
 @pytest.mark.parametrize(
     "read",
     [
