@@ -1,0 +1,299 @@
+"""The package's immutable records: value equality, hashing, repr,
+immutability, construction, pickling, copying and positional `match`.
+
+The eight public records are AdaptedChart, BundleChart, TransitionMap,
+CheckResult, Report, DeclaredTransition, DocumentObject and Document.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+import re
+from pathlib import Path
+
+import pytest
+
+import folicalc as fc
+from folicalc import (
+    AdaptedChart,
+    BundleChart,
+    CheckResult,
+    DeclaredTransition,
+    Document,
+    DocumentObject,
+    Expression,
+    Report,
+    TransitionMap,
+)
+
+SAMPLE = Path(__file__).resolve().parent.parent / "samples" / "foliated_bundle.fol"
+
+z1 = Expression.variable("z1")
+z2 = Expression.variable("z2")
+z3 = Expression.variable("z3")
+
+CHART_REPR = "AdaptedChart(leaf_coords=('z1', 'z2'), transverse_coords=('z3',))"
+MAP_REPR = (
+    f"TransitionMap(target={CHART_REPR}, "
+    "components=(Expression('z1'), Expression('z2'), Expression('z1 + z3')))"
+)
+
+
+def _chart():
+    return AdaptedChart(("z1", "z2"), ("z3",))
+
+
+def _map():
+    return TransitionMap(_chart(), (z1, z2, z3 + z1))
+
+
+def _result():
+    return CheckResult("transition.T.adapted", "pass")
+
+
+# Per record: a factory of equal values, a different value, the exact repr
+# of the factory's value and the field names in order.
+RECORDS = {
+    "AdaptedChart": (
+        _chart,
+        AdaptedChart(("z1",), ("z2", "z3")),
+        CHART_REPR,
+        ("leaf_coords", "transverse_coords"),
+    ),
+    "BundleChart": (
+        lambda: BundleChart(_chart(), ("u", "v")),
+        BundleChart(_chart(), ("u",)),
+        f"BundleChart(base={CHART_REPR}, fibre_coords=('u', 'v'))",
+        ("base", "fibre_coords"),
+    ),
+    "TransitionMap": (
+        _map,
+        TransitionMap(_chart(), (z1, z2, z3)),
+        MAP_REPR,
+        ("target", "components"),
+    ),
+    "CheckResult": (
+        _result,
+        CheckResult("transition.T.adapted", "fail", "z1"),
+        "CheckResult(name='transition.T.adapted', status='pass', payload='')",
+        ("name", "status", "payload"),
+    ),
+    "Report": (
+        lambda: Report("check", (_result(),)),
+        Report("check", ()),
+        "Report(command='check', checks=(CheckResult(name='transition.T.adapted', "
+        "status='pass', payload=''),))",
+        ("command", "checks"),
+    ),
+    "DeclaredTransition": (
+        lambda: DeclaredTransition(_map(), (z1,)),
+        DeclaredTransition(_map()),
+        f"DeclaredTransition(base_map={MAP_REPR}, fibre_components=(Expression('z1'),))",
+        ("base_map", "fibre_components"),
+    ),
+    "DocumentObject": (
+        lambda: DocumentObject("form", "w", z1),
+        DocumentObject("form", "w", z2),
+        "DocumentObject(kind='form', name='w', value=Expression('z1'))",
+        ("kind", "name", "value"),
+    ),
+    "Document": (
+        lambda: Document(_chart(), (DocumentObject("form", "w", z1),)),
+        Document(_chart(), ()),
+        f"Document(chart={CHART_REPR}, "
+        "objects=(DocumentObject(kind='form', name='w', value=Expression('z1')),))",
+        ("chart", "objects"),
+    ),
+}
+
+record = pytest.mark.parametrize("name", sorted(RECORDS))
+
+
+@record
+def test_value_equality(name):
+    make, other, _, _ = RECORDS[name]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert a == a and not a != a
+    assert a != other and not a == other
+    assert a != "x" and not a == "x"
+    assert a != None  # noqa: E711
+    assert a.__eq__(object()) is NotImplemented
+
+
+def test_equality_needs_the_same_record_type():
+    chart = _chart()
+    base = BundleChart(chart, ("u",))
+    # Same field values in a different record type are unequal.
+    assert DocumentObject("form", "w", z1) != CheckResult("form", "w", z1)
+    assert Report("form", (z1,)) != DeclaredTransition("form", (z1,))
+    assert base.base == chart and base != chart
+
+
+@record
+def test_equal_values_hash_equal(name):
+    make, other, _, _ = RECORDS[name]
+    assert hash(make()) == hash(make())
+    assert len({make(), make(), other}) == 2
+
+
+@record
+def test_repr_text(name):
+    make, _, text, _ = RECORDS[name]
+    assert repr(make()) == text
+
+
+@record
+def test_fields_cannot_be_assigned_or_deleted(name):
+    make, other, _, fields = RECORDS[name]
+    value = make()
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == make()
+
+
+@record
+def test_keyword_construction(name):
+    make, _, _, fields = RECORDS[name]
+    value = make()
+    values = {field: getattr(value, field) for field in fields}
+    assert type(value)(**values) == value
+    assert type(value)(*values.values()) == value
+
+
+def test_keyword_defaults():
+    chart = AdaptedChart(leaf_coords=("z1",))
+    assert chart.leaf_coords == ("z1",)
+    assert chart.transverse_coords == ()
+    assert chart == AdaptedChart(("z1",), ())
+    result = CheckResult("diff.w", "pass")
+    assert result.payload == ""
+    assert result == CheckResult(name="diff.w", status="pass", payload="")
+    declared = DeclaredTransition(_map())
+    assert declared.fibre_components is None
+    assert declared == DeclaredTransition(base_map=_map(), fibre_components=None)
+
+
+def test_list_inputs_become_tuples():
+    chart = AdaptedChart(["z1", "z2"], ["z3"])
+    assert type(chart.leaf_coords) is tuple and type(chart.transverse_coords) is tuple
+    assert chart == _chart()
+    bundle = BundleChart(chart, ["u"])
+    assert bundle.fibre_coords == ("u",) and type(bundle.fibre_coords) is tuple
+    transition = TransitionMap(chart, [z1, z2, z3 + z1])
+    assert type(transition.components) is tuple
+    assert transition == _map()
+    generated = AdaptedChart(name for name in ("z1", "z2"))
+    assert generated.leaf_coords == ("z1", "z2")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AdaptedChart(()), "an adapted chart needs at least one leaf coordinate"),
+        (lambda: AdaptedChart((), ("z1",)), "an adapted chart needs at least one leaf coordinate"),
+        (lambda: AdaptedChart(("z1", "z1")), "chart coordinate names must be distinct"),
+        (lambda: AdaptedChart(("z1",), ("z1",)), "chart coordinate names must be distinct"),
+        (lambda: AdaptedChart(("1z",)), "invalid coordinate name '1z'"),
+        (lambda: AdaptedChart(("z1",), ("a b",)), "invalid coordinate name 'a b'"),
+        (lambda: BundleChart(("z1",), ("u",)), "bundle chart needs an AdaptedChart base"),
+        (lambda: BundleChart(_chart(), ()), "a bundle chart needs at least one fibre coordinate"),
+        (lambda: BundleChart(_chart(), ("u", "u")), "fibre names must be distinct from base coordinates"),
+        (lambda: BundleChart(_chart(), ("z3",)), "fibre names must be distinct from base coordinates"),
+        (lambda: BundleChart(_chart(), ("u-",)), "invalid fibre name 'u-'"),
+        (lambda: TransitionMap(_chart(), (z1, z2, 3)), "transition components must be expressions"),
+        (lambda: TransitionMap(_chart(), (z1, z2)), "transition needs 3 components, got 2"),
+    ],
+)
+def test_validation_errors(build, message):
+    with pytest.raises(fc.InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.fixture(scope="module")
+def parsed():
+    document = fc.parse_document(SAMPLE.read_text())
+    return document, fc.run_command("check", document)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_document_and_report_round_trips(parsed, clone):
+    for value in parsed:
+        twin = clone(value)
+        assert type(twin) is type(value)
+        assert twin == value and repr(twin) == repr(value)
+    document, report = parsed
+    twin = clone(document)
+    with pytest.raises(AttributeError):
+        twin.objects = ()
+    assert hash(clone(report)) == hash(report)
+    assert fc.print_document(twin) == fc.print_document(document)
+    assert fc.run_command("check", twin) == report
+    assert clone(report).to_json() == report.to_json()
+
+
+@record
+def test_round_trips_of_each_record(name):
+    make, _, _, _ = RECORDS[name]
+    value = make()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+
+
+def test_positional_match_patterns(parsed):
+    document, report = parsed
+    match document.chart:
+        case BundleChart(AdaptedChart(leaf, transverse), fibres):
+            assert (leaf, transverse, fibres) == (("z1", "z2"), ("z3", "z4"), ("u", "v"))
+        case _:
+            pytest.fail("no match")
+    match document:
+        case Document(chart, (DocumentObject("connection", name, value), *rest)):
+            assert chart is document.chart and name == "Gamma"
+            assert value is document.objects[0].value and len(rest) == 4
+        case _:
+            pytest.fail("no match")
+    match document.lookup("twist").value:
+        case DeclaredTransition(TransitionMap(target, components), fibre):
+            assert target == document.base and len(components) == 4 and len(fibre) == 2
+        case _:
+            pytest.fail("no match")
+    match report:
+        case Report("check", (CheckResult(first, "pass", ""), *_)):
+            assert first == "transition.twist.adapted"
+        case _:
+            pytest.fail("no match")
+
+
+@record
+def test_match_binds_every_field_in_order(name):
+    make, _, _, fields = RECORDS[name]
+    value = make()
+    record_type = type(value)
+    expected = tuple(getattr(value, field) for field in fields)
+    if len(fields) == 2:
+        match value:
+            case record_type(a, b):
+                assert (a, b) == expected
+            case _:
+                pytest.fail("no match")
+    else:
+        match value:
+            case record_type(a, b, c):
+                assert (a, b, c) == expected
+            case _:
+                pytest.fail("no match")
+    match value:
+        case AdaptedChart() if record_type is not AdaptedChart:
+            pytest.fail("matched another record type")
