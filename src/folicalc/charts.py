@@ -14,11 +14,46 @@ own errors at its tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from operator import attrgetter
 
 from .errors import ChartMismatchError, InputError
 from .expr import Expression, _as_expression, _is_int, is_identifier
+
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable record: its fields (two or more) are its __slots__, set once by __init__.
+    ==, hash, repr, match and pickling or copying (rebuilt by __init__) all read them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 def _checked_names(names: Sequence[str], what: str) -> tuple[str, ...]:
@@ -29,23 +64,21 @@ def _checked_names(names: Sequence[str], what: str) -> tuple[str, ...]:
     return names
 
 
-@dataclass(frozen=True)
-class AdaptedChart:
+class AdaptedChart(_Record):
     """Named base coordinates split into a leaf block and a transverse block."""
 
-    leaf_coords: tuple[str, ...]
-    transverse_coords: tuple[str, ...] = ()
+    __slots__ = ("leaf_coords", "transverse_coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "leaf_coords", _checked_names(self.leaf_coords, "coordinate"))
-        object.__setattr__(
-            self, "transverse_coords", _checked_names(self.transverse_coords, "coordinate")
-        )
-        if not self.leaf_coords:
+    def __init__(self, leaf_coords: Sequence[str], transverse_coords: Sequence[str] = ()):
+        leaf_coords = _checked_names(leaf_coords, "coordinate")
+        transverse_coords = _checked_names(transverse_coords, "coordinate")
+        if not leaf_coords:
             raise InputError("an adapted chart needs at least one leaf coordinate")
-        names = self.leaf_coords + self.transverse_coords
+        names = leaf_coords + transverse_coords
         if len(set(names)) != len(names):
             raise InputError("chart coordinate names must be distinct")
+        _set(self, "leaf_coords", leaf_coords)
+        _set(self, "transverse_coords", transverse_coords)
 
     @property
     def coords(self) -> tuple[str, ...]:
@@ -64,22 +97,22 @@ class AdaptedChart:
         return _position(_axis(self, "coordinate"), name)
 
 
-@dataclass(frozen=True)
-class BundleChart:
+class BundleChart(_Record):
     """Fibred chart: an adapted base chart plus fibre coordinates."""
 
-    base: AdaptedChart
-    fibre_coords: tuple[str, ...]
+    __slots__ = ("base", "fibre_coords")
 
-    def __post_init__(self):
-        if not isinstance(self.base, AdaptedChart):
+    def __init__(self, base: AdaptedChart, fibre_coords: Sequence[str]):
+        if not isinstance(base, AdaptedChart):
             raise InputError("bundle chart needs an AdaptedChart base")
-        object.__setattr__(self, "fibre_coords", _checked_names(self.fibre_coords, "fibre"))
-        if not self.fibre_coords:
+        fibre_coords = _checked_names(fibre_coords, "fibre")
+        if not fibre_coords:
             raise InputError("a bundle chart needs at least one fibre coordinate")
-        names = self.base.coords + self.fibre_coords
+        names = base.coords + fibre_coords
         if len(set(names)) != len(names):
             raise InputError("fibre names must be distinct from base coordinates")
+        _set(self, "base", base)
+        _set(self, "fibre_coords", fibre_coords)
 
     @property
     def dim(self) -> int:
@@ -208,23 +241,21 @@ def _checked_entries(
     return out
 
 
-@dataclass(frozen=True)
-class TransitionMap:
+class TransitionMap(_Record):
     """Coordinate change: one target-coordinate expression per base coordinate,
     written in the source chart's variables."""
 
-    target: AdaptedChart
-    components: tuple[Expression, ...]
+    __slots__ = ("target", "components")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        for component in self.components:
+    def __init__(self, target: AdaptedChart, components: Sequence[Expression]):
+        components = tuple(components)
+        for component in components:
             if not isinstance(component, Expression):
                 raise InputError("transition components must be expressions")
-        if len(self.components) != self.target.dim:
-            raise InputError(
-                f"transition needs {self.target.dim} components, got {len(self.components)}"
-            )
+        if len(components) != target.dim:
+            raise InputError(f"transition needs {target.dim} components, got {len(components)}")
+        _set(self, "target", target)
+        _set(self, "components", components)
 
     @classmethod
     def identity(cls, chart: AdaptedChart) -> "TransitionMap":

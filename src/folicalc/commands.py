@@ -9,10 +9,9 @@ check did not hold.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .charts import (
+    _Record,
+    _set,
     check_adapted_transition,
     check_foliated_bundle_transition,
     is_foliated_function,
@@ -38,21 +37,25 @@ from .forms import (
 VERBS = ("check", "diff", "wedge", "restrict", "extend", "verify")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail"
-    payload: str = ""
+class CheckResult(_Record):
+    __slots__ = ("name", "status", "payload")
+
+    def __init__(self, name: str, status: str, payload: str = ""):
+        _set(self, "name", name)
+        _set(self, "status", status)  # "pass" | "fail"
+        _set(self, "payload", payload)
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class Report:
-    command: str
-    checks: tuple[CheckResult, ...]
+class Report(_Record):
+    __slots__ = ("command", "checks")
+
+    def __init__(self, command: str, checks: tuple[CheckResult, ...]):
+        _set(self, "command", command)
+        _set(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -68,6 +71,7 @@ class Report:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json  # only here: the text report is the common case
         return json.dumps(
             {
                 "command": self.command,

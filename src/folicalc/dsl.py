@@ -50,15 +50,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .charts import (
     AdaptedChart,
     BundleChart,
     Chart,
     TransitionMap,
+    _Record,
     _checked_entries,
+    _set,
     allowed_variables,
     base_chart,
 )
@@ -81,11 +83,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-class Token(NamedTuple):
-    kind: str  # "number", "ident", "eof", or the operator character itself
-    text: str
-    line: int
-    column: int
+# kind is "number", "ident", "eof", or the operator character itself.
+Token = namedtuple("Token", ("kind", "text", "line", "column"))
 
 
 def _tokenize(text: str) -> Iterator[Token]:
@@ -127,25 +126,31 @@ def _integer(token: Token) -> int:
 # -- raw syntax ---------------------------------------------------------------
 
 
-@dataclass
 class RawAssign:
-    key: Token
-    indices: list[Token]
-    expr: Expression
-    expr_token: Token
+    __slots__ = ("key", "indices", "expr", "expr_token")
+
+    def __init__(self, key: Token, indices: list[Token], expr: Expression, expr_token: Token):
+        self.key = key
+        self.indices = indices
+        self.expr = expr
+        self.expr_token = expr_token
 
 
-@dataclass
 class RawDirective:
-    key: Token
-    values: list[Token]
+    __slots__ = ("key", "values")
+
+    def __init__(self, key: Token, values: list[Token]):
+        self.key = key
+        self.values = values
 
 
-@dataclass
 class RawBlock:
-    kind: Token
-    name: Token | None
-    items: list
+    __slots__ = ("kind", "name", "items")
+
+    def __init__(self, kind: Token, name: Token | None, items: list):
+        self.kind = kind
+        self.name = name
+        self.items = items
 
 
 class _Parser:
@@ -330,28 +335,34 @@ def parse_expression(text: str) -> Expression:
 # -- documents -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeclaredTransition:
+class DeclaredTransition(_Record):
     """A transition block: a base coordinate change plus, over a bundle,
     optional fibre transition components."""
 
-    base_map: TransitionMap
-    fibre_components: tuple[Expression, ...] | None = None
+    __slots__ = ("base_map", "fibre_components")
+
+    def __init__(self, base_map: TransitionMap, fibre_components: tuple | None = None):
+        _set(self, "base_map", base_map)
+        _set(self, "fibre_components", fibre_components)
 
 
-@dataclass(frozen=True)
-class DocumentObject:
-    kind: str
-    name: str
-    value: object
+class DocumentObject(_Record):
+    __slots__ = ("kind", "name", "value")
+
+    def __init__(self, kind: str, name: str, value: object):
+        _set(self, "kind", kind)
+        _set(self, "name", name)
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(_Record):
     """A parsed input file: one chart plus named objects in declaration order."""
 
-    chart: Chart
-    objects: tuple[DocumentObject, ...]
+    __slots__ = ("chart", "objects")
+
+    def __init__(self, chart: Chart, objects: tuple[DocumentObject, ...]):
+        _set(self, "chart", chart)
+        _set(self, "objects", objects)
 
     @property
     def base(self) -> AdaptedChart:

@@ -53,9 +53,9 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from numbers import Number
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import InputError
 
@@ -63,7 +63,7 @@ from .errors import InputError
 # The empty tuple is the constant monomial.
 Monomial = tuple[tuple[str, int], ...]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 

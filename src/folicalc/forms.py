@@ -16,7 +16,7 @@ components.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .charts import (
     Chart,
@@ -181,7 +181,7 @@ class ExteriorForm(_Form):
 
     __slots__ = ()
     _kind = "coordinate"
-    _coefficient = "a exterior_form coefficient"
+    _coefficient = "an exterior_form coefficient"
     _basis_prefix = "d"
 
 

@@ -173,8 +173,8 @@ OBJECT_ERRORS = [
     (BUNDLE + "exterior_form w { degree 1 w[z3][z4] = 1 }", "3:28: multi-index length 2 disagrees with degree 1"),
     (BUNDLE + "exterior_form w { w[z3] = 1 w[z1][z4] = z2 }", "3:29: multi-index length 2 disagrees with degree 1"),
     (BUNDLE + "exterior_form w { w[z1][z3] = 1 w[z1][z3] = 1 }", "3:33: duplicate assignment to 'w'"),
-    (BUNDLE + "exterior_form w { w[z3] = z1*q }", "3:27: variable 'q' is not available in a exterior_form coefficient"),
-    (BASE + "exterior_form w { w[z3] = v }", "2:27: variable 'v' is not available in a exterior_form coefficient"),
+    (BUNDLE + "exterior_form w { w[z3] = z1*q }", "3:27: variable 'q' is not available in an exterior_form coefficient"),
+    (BASE + "exterior_form w { w[z3] = v }", "2:27: variable 'v' is not available in an exterior_form coefficient"),
     # transition
     (BUNDLE + "transition T { T[q] = z1 }", "3:18: unknown coordinate 'q'"),
     (BASE + "transition T { T[u] = z1 }", "2:18: unknown coordinate 'u'"),
