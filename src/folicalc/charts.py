@@ -24,14 +24,18 @@ _set = object.__setattr__
 
 
 class _Record:
-    """Immutable record: its fields (two or more) are its __slots__, set once by __init__.
-    ==, hash, repr, match and pickling or copying (rebuilt by __init__) all read them."""
+    """Immutable record (charts, maps, documents, reports, tables, forms and
+    sections): its fields (two or more) are its __slots__, set once through
+    _set.  ==, hash, repr, match and pickling or copying (rebuilt by __init__,
+    so checked again) read them; a subclass with __slots__ = () keeps its
+    parent's.  Dict fields (.coefficients, .components) are shared: read-only."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)
-        cls.__match_args__ = cls.__slots__
+        if cls.__slots__:
+            cls._values = attrgetter(*cls.__slots__)
+            cls.__match_args__ = cls.__slots__
 
     def __eq__(self, other):
         if self is other:
@@ -57,6 +61,8 @@ class _Record:
 
 
 def _checked_names(names: Sequence[str], what: str) -> tuple[str, ...]:
+    if isinstance(names, str):
+        raise InputError(f"{what} names are a sequence of names, not the string {names!r}")
     names = tuple(names)
     for name in names:
         if not is_identifier(name):
@@ -248,6 +254,8 @@ class TransitionMap(_Record):
     __slots__ = ("target", "components")
 
     def __init__(self, target: AdaptedChart, components: Sequence[Expression]):
+        if not isinstance(target, AdaptedChart):
+            raise InputError("transition map needs an AdaptedChart target")
         components = tuple(components)
         for component in components:
             if not isinstance(component, Expression):
@@ -262,6 +270,10 @@ class TransitionMap(_Record):
         return cls(chart, tuple(Expression.variable(name) for name in chart.coords))
 
 
+def _constant_on_leaves(expr: Expression, leaf_coords: tuple[str, ...]) -> bool:
+    return all(expr.partial(leaf).is_zero() for leaf in leaf_coords)
+
+
 def check_adapted_transition(transition: TransitionMap, source: AdaptedChart) -> bool:
     """True iff every transverse target coordinate is independent of every
     source leaf coordinate, i.e. the coordinate change respects the foliation."""
@@ -271,12 +283,10 @@ def check_adapted_transition(transition: TransitionMap, source: AdaptedChart) ->
     allowed = frozenset(source.coords)
     for component in transition.components:
         _check_variables(component, allowed, "a transition component")
-    for position in range(target.dim_leaf, target.dim):
-        component = transition.components[position]
-        for leaf in source.leaf_coords:
-            if not component.partial(leaf).is_zero():
-                return False
-    return True
+    return all(
+        _constant_on_leaves(component, source.leaf_coords)
+        for component in transition.components[target.dim_leaf:]
+    )
 
 
 def check_foliated_bundle_transition(
@@ -291,14 +301,11 @@ def check_foliated_bundle_transition(
     allowed = frozenset(chart.all_coords)
     for component in fibre_transition:
         _check_variables(component, allowed, "a fibre transition component")
-    for component in fibre_transition:
-        for leaf in chart.base.leaf_coords:
-            if not component.partial(leaf).is_zero():
-                return False
-    return True
+    leaves = chart.base.leaf_coords
+    return all(_constant_on_leaves(component, leaves) for component in fibre_transition)
 
 
 def is_foliated_function(f: Expression, chart: AdaptedChart) -> bool:
     """True iff f is constant on leaves: every leaf partial vanishes."""
     _check_variables(f, frozenset(chart.coords), "a function")
-    return all(f.partial(leaf).is_zero() for leaf in chart.leaf_coords)
+    return _constant_on_leaves(f, chart.leaf_coords)

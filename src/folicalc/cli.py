@@ -10,6 +10,7 @@ syntax error, unknown name, kind or chart mismatch).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .commands import VERBS, run_command
@@ -17,7 +18,9 @@ from .dsl import parse_document
 from .errors import FolicalcError, ParseError
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # One per process: parse_args copies the --name default before appending.
     parser = argparse.ArgumentParser(
         prog="folicalc",
         description="Exact leafwise calculus and connection extension on foliated charts.",

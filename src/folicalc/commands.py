@@ -34,8 +34,6 @@ from .forms import (
     wedge,
 )
 
-VERBS = ("check", "diff", "wedge", "restrict", "extend", "verify")
-
 
 class CheckResult(_Record):
     __slots__ = ("name", "status", "payload")
@@ -55,7 +53,7 @@ class Report(_Record):
 
     def __init__(self, command: str, checks: tuple[CheckResult, ...]):
         _set(self, "command", command)
-        _set(self, "checks", checks)
+        _set(self, "checks", tuple(checks))
 
     @property
     def ok(self) -> bool:
@@ -102,16 +100,9 @@ def _payload_lines(name: str, value) -> str:
 def run_command(verb: str, document: Document, names=()) -> Report:
     """Run one CLI verb against a document and collect its checks."""
     names = list(names)
-    if verb not in VERBS:
+    handler = _HANDLERS.get(verb)
+    if handler is None:
         raise InputError(f"unknown command {verb!r}")
-    handler = {
-        "check": _run_check,
-        "diff": _run_diff,
-        "wedge": _run_wedge,
-        "restrict": _run_restrict,
-        "extend": _run_extend,
-        "verify": _run_verify,
-    }[verb]
     return Report(verb, tuple(handler(document, names)))
 
 
@@ -299,3 +290,14 @@ def _dependence_matches(leafwise, reference, splittings, delta) -> bool:
             if delta.coefficient(fibre, trans) != expected:
                 return False
     return True
+
+
+_HANDLERS = {
+    "check": _run_check,
+    "diff": _run_diff,
+    "wedge": _run_wedge,
+    "restrict": _run_restrict,
+    "extend": _run_extend,
+    "verify": _run_verify,
+}
+VERBS = tuple(_HANDLERS)

@@ -17,6 +17,10 @@ their entries with `charts._checked_entries` and readers resolve them with
 variables (connections need not be linear); section components may not.
 Operations inside the package build their results with the unchecked
 `_build`.
+
+Tables and sections are immutable `charts._Record`s.  A table's
+`.coefficients` dict is shared, not copied, so treat it as read-only; it
+also makes a table unhashable.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from collections.abc import Mapping
 from .charts import (
     BundleChart,
     Chart,
+    _Record,
     _axis,
     _checked_entries,
     _position,
+    _set,
     allowed_variables,
 )
 from .errors import ChartMismatchError, InputError
@@ -36,7 +42,7 @@ from .expr import Expression, _add_into
 from .forms import LeafwiseForm
 
 
-class _CoefficientTable:
+class _CoefficientTable(_Record):
     """Sparse (row, column)-keyed coefficient table; see the module docstring.
 
     Subclasses set _axes to the kinds of their rows and columns, _coefficient
@@ -56,10 +62,11 @@ class _CoefficientTable:
         if not isinstance(chart, self._chart_type):
             kind = self._chart_type.__name__
             raise InputError(f"{what} needs {'an' if kind[0] in 'AEIOU' else 'a'} {kind}")
-        self.chart = chart
-        self.coefficients = _checked_entries(
+        coefficients = _checked_entries(
             chart, self._axes, allowed_variables(chart), self._coefficient, coefficients or {}
         )
+        _set(self, "chart", chart)
+        _set(self, "coefficients", coefficients)
 
     @classmethod
     def _build(cls, chart: Chart, coefficients: dict[tuple[int, int], Expression]):
@@ -67,8 +74,8 @@ class _CoefficientTable:
         # coefficients over the chart's variables, and the dict is not shared
         # with anyone else.
         table = object.__new__(cls)
-        table.chart = chart
-        table.coefficients = coefficients
+        _set(table, "chart", chart)
+        _set(table, "coefficients", coefficients)
         return table
 
     def _row(self, row) -> dict[tuple[int], Expression]:
@@ -91,15 +98,6 @@ class _CoefficientTable:
             f"{name}[{rows[row]}][{cols[col]}] = {self.coefficients[(row, col)]}"
             for row, col in sorted(self.coefficients)
         ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.chart == other.chart
-            and self.coefficients == other.coefficients
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         body = "; ".join(self.assignment_lines(self._symbol or type(self).__name__)) or "0"
@@ -143,7 +141,7 @@ class VerticalValuedLeafwiseForm(_CoefficientTable):
         return LeafwiseForm._build(self.chart, 1, self._row(fibre))
 
 
-class BundleSection:
+class BundleSection(_Record):
     """Section of the bundle: one base-only expression per fibre coordinate."""
 
     __slots__ = ("chart", "components")
@@ -151,7 +149,6 @@ class BundleSection:
     def __init__(self, chart: BundleChart, components):
         if not isinstance(chart, BundleChart):
             raise InputError("BundleSection needs a BundleChart")
-        self.chart = chart
         if not isinstance(components, Mapping):
             components = tuple(components)
             if len(components) != chart.fibre_dim:
@@ -164,7 +161,8 @@ class BundleSection:
             "a section component (base only)", components,
         )
         zero = Expression.zero()
-        self.components = tuple(given.get(i, zero) for i in range(chart.fibre_dim))
+        _set(self, "chart", chart)
+        _set(self, "components", tuple(given.get(i, zero) for i in range(chart.fibre_dim)))
 
     def component(self, fibre) -> Expression:
         return self.components[_position(_axis(self.chart, "fibre"), fibre)]
@@ -178,15 +176,6 @@ class BundleSection:
             for i, c in enumerate(self.components)
             if not c.is_zero()
         ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.chart == other.chart
-            and self.components == other.components
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         body = "; ".join(self.assignment_lines("s")) or "0"

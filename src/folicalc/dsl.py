@@ -342,6 +342,8 @@ class DeclaredTransition(_Record):
     __slots__ = ("base_map", "fibre_components")
 
     def __init__(self, base_map: TransitionMap, fibre_components: tuple | None = None):
+        if fibre_components is not None:
+            fibre_components = tuple(fibre_components)
         _set(self, "base_map", base_map)
         _set(self, "fibre_components", fibre_components)
 
@@ -362,7 +364,7 @@ class Document(_Record):
 
     def __init__(self, chart: Chart, objects: tuple[DocumentObject, ...]):
         _set(self, "chart", chart)
-        _set(self, "objects", objects)
+        _set(self, "objects", tuple(objects))
 
     @property
     def base(self) -> AdaptedChart:
@@ -596,18 +598,6 @@ def _build_document(blocks: list[RawBlock]) -> Document:
 # -- canonical printing -----------------------------------------------------------
 
 
-def form_assignment_lines(name: str, form) -> list[str]:
-    """Document assignment lines for a form, sorted by multi-index."""
-    names = base_chart(form.chart).coords
-    lines = []
-    if not form.components and form.degree > 0:
-        lines.append(f"degree {form.degree}")
-    for index in sorted(form.components):
-        suffix = "".join(f"[{names[i]}]" for i in index)
-        lines.append(f"{name}{suffix} = {form.components[index]}")
-    return lines
-
-
 def _transition_lines(name: str, transition: DeclaredTransition, chart: Chart) -> list[str]:
     base = base_chart(chart)
     lines = []
@@ -637,9 +627,7 @@ def print_document(document: Document) -> str:
             _block_text("bundle", None, ["fibre " + " ".join(bundle.fibre_coords)])
         )
     for obj in document.objects:
-        if obj.kind in ("form", "exterior_form"):
-            lines = form_assignment_lines(obj.name, obj.value)
-        elif obj.kind == "transition":
+        if obj.kind == "transition":
             lines = _transition_lines(obj.name, obj.value, document.chart)
         else:
             lines = obj.value.assignment_lines(obj.name)

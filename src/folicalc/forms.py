@@ -12,6 +12,10 @@ mention fibre variables; its indices still refer to base coordinates only.
 Zero forms of degree above the top dimension are representable (they arise
 from differentials and wedges at the top of the complex) but can never have
 components.
+
+Forms are immutable `charts._Record`s that print their document lines
+through `assignment_lines`, as tables do.  Their `.components` dict is
+shared, not copied, so treat it as read-only; it makes a form unhashable.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from collections.abc import Mapping
 
 from .charts import (
     Chart,
+    _Record,
     _axis,
     _checked_entries,
     _multi_index,
+    _set,
     allowed_variables,
     base_chart,
 )
@@ -58,7 +64,7 @@ def merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
     return tuple(out), (-1 if inversions & 1 else 1)
 
 
-class _Form:
+class _Form(_Record):
     """Shared mechanics of the two graded algebras."""
 
     __slots__ = ("chart", "degree", "components")
@@ -77,12 +83,13 @@ class _Form:
     ):
         if not _is_int(degree) or degree < 0:
             raise InputError("form degree must be a non-negative integer")
-        self.chart = chart
-        self.degree = degree
-        self.components = _checked_entries(
+        components = _checked_entries(
             chart, (self._kind,), allowed_variables(chart), self._coefficient,
             components or {}, degree,
         )
+        _set(self, "chart", chart)
+        _set(self, "degree", degree)
+        _set(self, "components", components)
 
     @classmethod
     def _build(cls, chart: Chart, degree: int, components: dict):
@@ -90,9 +97,9 @@ class _Form:
         # multi-indices of this degree to nonzero coefficients over the
         # chart's variables, and the dict is not shared with anyone else.
         form = object.__new__(cls)
-        form.chart = chart
-        form.degree = degree
-        form.components = components
+        _set(form, "chart", chart)
+        _set(form, "degree", degree)
+        _set(form, "components", components)
         return form
 
     @classmethod
@@ -117,16 +124,6 @@ class _Form:
         index = _multi_index(_axis(self.chart, self._kind), index)
         return self.components.get(index, Expression.zero())
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self.chart == other.chart
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    __hash__ = None
-
     def __add__(self, other):
         return form_add(self, other)
 
@@ -136,6 +133,18 @@ class _Form:
 
     def __sub__(self, other):
         return form_add(self, -other)
+
+    def assignment_lines(self, name: str) -> list[str]:
+        """Document assignment lines, sorted by multi-index; a zero form of
+        positive degree declares its degree instead."""
+        names = base_chart(self.chart).coords
+        lines = []
+        if not self.components and self.degree > 0:
+            lines.append(f"degree {self.degree}")
+        for index in sorted(self.components):
+            suffix = "".join(f"[{names[i]}]" for i in index)
+            lines.append(f"{name}{suffix} = {self.components[index]}")
+        return lines
 
     def __str__(self) -> str:
         if not self.components:

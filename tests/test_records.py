@@ -2,7 +2,10 @@
 immutability, construction, pickling, copying and positional `match`.
 
 The eight public records are AdaptedChart, BundleChart, TransitionMap,
-CheckResult, Report, DeclaredTransition, DocumentObject and Document.
+CheckResult, Report, DeclaredTransition, DocumentObject and Document.  The
+sparse value types are records too: the six coefficient tables, the two
+form kinds and BundleSection.  Tables and forms hold a dict, so they do not
+hash; sections do.
 """
 
 from __future__ import annotations
@@ -18,13 +21,22 @@ import folicalc as fc
 from folicalc import (
     AdaptedChart,
     BundleChart,
+    BundleSection,
     CheckResult,
+    Connection,
     DeclaredTransition,
     Document,
     DocumentObject,
     Expression,
+    ExteriorForm,
+    LeafwiseConnection,
+    LeafwiseForm,
+    LeafwiseJetPoint,
     Report,
+    SolderingForm,
+    Splitting,
     TransitionMap,
+    VerticalValuedLeafwiseForm,
 )
 
 SAMPLE = Path(__file__).resolve().parent.parent / "samples" / "foliated_bundle.fol"
@@ -32,6 +44,7 @@ SAMPLE = Path(__file__).resolve().parent.parent / "samples" / "foliated_bundle.f
 z1 = Expression.variable("z1")
 z2 = Expression.variable("z2")
 z3 = Expression.variable("z3")
+u = Expression.variable("u")
 
 CHART_REPR = "AdaptedChart(leaf_coords=('z1', 'z2'), transverse_coords=('z3',))"
 MAP_REPR = (
@@ -50,6 +63,10 @@ def _map():
 
 def _result():
     return CheckResult("transition.T.adapted", "pass")
+
+
+def _bundle():
+    return BundleChart(_chart(), ("u",))
 
 
 # Per record: a factory of equal values, a different value, the exact repr
@@ -107,12 +124,44 @@ RECORDS = {
     ),
 }
 
-record = pytest.mark.parametrize("name", sorted(RECORDS))
+# The sparse value types, in the same shape: one table, both form kinds and
+# a section.
+SPARSE = {
+    "Connection": (
+        lambda: Connection(_bundle(), {("u", "z3"): u * z1}),
+        Connection(_bundle()),
+        "<Connection[u][z3] = u*z1>",
+        ("chart", "coefficients"),
+    ),
+    "LeafwiseForm": (
+        lambda: LeafwiseForm(_bundle(), 1, {("z2",): u}),
+        LeafwiseForm(_bundle(), 1),
+        "LeafwiseForm('u ~dz2')",
+        ("chart", "degree", "components"),
+    ),
+    "ExteriorForm": (
+        lambda: ExteriorForm(_chart(), 2, {("z1", "z3"): z2}),
+        ExteriorForm(_chart(), 2, {("z1", "z2"): 1}),
+        "ExteriorForm('z2 dz1^dz3')",
+        ("chart", "degree", "components"),
+    ),
+    "BundleSection": (
+        lambda: BundleSection(_bundle(), (z1,)),
+        BundleSection(_bundle(), (z3,)),
+        "<s[u] = z1>",
+        ("chart", "components"),
+    ),
+}
+VALUES = {**RECORDS, **SPARSE}
+UNHASHABLE = {"Connection", "LeafwiseForm", "ExteriorForm"}
+
+value_type = pytest.mark.parametrize("name", sorted(VALUES))
+hashable = pytest.mark.parametrize("name", sorted(set(VALUES) - UNHASHABLE))
 
 
-@record
+@value_type
 def test_value_equality(name):
-    make, other, _, _ = RECORDS[name]
+    make, other, _, _ = VALUES[name]
     a, b = make(), make()
     assert a is not b
     assert a == b and not a != b
@@ -132,22 +181,29 @@ def test_equality_needs_the_same_record_type():
     assert base.base == chart and base != chart
 
 
-@record
+@hashable
 def test_equal_values_hash_equal(name):
-    make, other, _, _ = RECORDS[name]
+    make, other, _, _ = VALUES[name]
     assert hash(make()) == hash(make())
     assert len({make(), make(), other}) == 2
 
 
-@record
+@pytest.mark.parametrize("name", sorted(UNHASHABLE))
+def test_tables_and_forms_do_not_hash(name):
+    make, _, _, _ = VALUES[name]
+    with pytest.raises(TypeError):
+        hash(make())
+
+
+@value_type
 def test_repr_text(name):
-    make, _, text, _ = RECORDS[name]
+    make, _, text, _ = VALUES[name]
     assert repr(make()) == text
 
 
-@record
+@value_type
 def test_fields_cannot_be_assigned_or_deleted(name):
-    make, other, _, fields = RECORDS[name]
+    make, other, _, fields = VALUES[name]
     value = make()
     for field in fields:
         with pytest.raises(AttributeError):
@@ -159,9 +215,9 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     assert value == make()
 
 
-@record
+@value_type
 def test_keyword_construction(name):
-    make, _, _, fields = RECORDS[name]
+    make, _, _, fields = VALUES[name]
     value = make()
     values = {field: getattr(value, field) for field in fields}
     assert type(value)(**values) == value
@@ -192,6 +248,19 @@ def test_list_inputs_become_tuples():
     assert transition == _map()
     generated = AdaptedChart(name for name in ("z1", "z2"))
     assert generated.leaf_coords == ("z1", "z2")
+    report = Report("check", [_result()])
+    assert type(report.checks) is tuple
+    assert report == Report("check", (_result(),))
+    assert hash(report) == hash(Report("check", (_result(),)))
+    objects = [DocumentObject("form", "w", z1)]
+    document = Document(_chart(), objects)
+    assert type(document.objects) is tuple
+    assert document == Document(_chart(), tuple(objects))
+    assert hash(document) == hash(Document(_chart(), tuple(objects)))
+    declared = DeclaredTransition(_map(), [z1])
+    assert type(declared.fibre_components) is tuple
+    assert declared == DeclaredTransition(_map(), (z1,))
+    assert hash(declared) == hash(DeclaredTransition(_map(), (z1,)))
 
 
 @pytest.mark.parametrize(
@@ -208,6 +277,11 @@ def test_list_inputs_become_tuples():
         (lambda: BundleChart(_chart(), ("u", "u")), "fibre names must be distinct from base coordinates"),
         (lambda: BundleChart(_chart(), ("z3",)), "fibre names must be distinct from base coordinates"),
         (lambda: BundleChart(_chart(), ("u-",)), "invalid fibre name 'u-'"),
+        (lambda: AdaptedChart("xy"), "coordinate names are a sequence of names, not the string 'xy'"),
+        (lambda: AdaptedChart(("z1",), "z2"), "coordinate names are a sequence of names, not the string 'z2'"),
+        (lambda: BundleChart(_chart(), "uv"), "fibre names are a sequence of names, not the string 'uv'"),
+        (lambda: TransitionMap(None, []), "transition map needs an AdaptedChart target"),
+        (lambda: TransitionMap(_bundle(), (z1, z2, z3)), "transition map needs an AdaptedChart target"),
         (lambda: TransitionMap(_chart(), (z1, z2, 3)), "transition components must be expressions"),
         (lambda: TransitionMap(_chart(), (z1, z2)), "transition needs 3 components, got 2"),
     ],
@@ -243,12 +317,49 @@ def test_document_and_report_round_trips(parsed, clone):
     assert clone(report).to_json() == report.to_json()
 
 
-@record
+@value_type
 def test_round_trips_of_each_record(name):
-    make, _, _, _ = RECORDS[name]
+    make, _, _, _ = VALUES[name]
     value = make()
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
-        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+        if name not in UNHASHABLE:
+            assert hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Connection(_bundle(), {("u", "z3"): u}),
+        lambda: LeafwiseConnection(_bundle(), {("u", "z1"): u}),
+        lambda: LeafwiseJetPoint(_bundle(), {("u", "z2"): z3}),
+        lambda: VerticalValuedLeafwiseForm(_bundle(), {("u", "z1"): z2}),
+        lambda: Splitting(_chart(), {("z1", "z3"): z2}),
+        lambda: SolderingForm(_bundle(), {("u", "z3"): z1}),
+    ],
+    ids=lambda make: type(make()).__name__,
+)
+def test_every_table_type_is_a_record(make):
+    table = make()
+    assert table == make() and table != type(table)(table.chart)
+    with pytest.raises(AttributeError):
+        table.coefficients = {}
+    assert pickle.loads(pickle.dumps(table)) == table
+    table_type = type(table)
+    match table:
+        case table_type(chart, coefficients):
+            assert chart is table.chart and coefficients is table.coefficients
+        case _:
+            pytest.fail("no match")
+
+
+def test_copies_are_checked_again():
+    # A copy goes through the constructor, which rejects what it would
+    # reject from a caller: here an entry smuggled into the shared dict.
+    form = LeafwiseForm(_chart(), 1, {("z1",): z3})
+    form.components[(2,)] = z1
+    with pytest.raises(fc.InputError, match="^leaf index 2 out of range$"):
+        copy.copy(form)
 
 
 def test_positional_match_patterns(parsed):
@@ -276,9 +387,9 @@ def test_positional_match_patterns(parsed):
             pytest.fail("no match")
 
 
-@record
+@value_type
 def test_match_binds_every_field_in_order(name):
-    make, _, _, fields = RECORDS[name]
+    make, _, _, fields = VALUES[name]
     value = make()
     record_type = type(value)
     expected = tuple(getattr(value, field) for field in fields)
