@@ -52,8 +52,11 @@ class Report(_Record):
     __slots__ = ("command", "checks")
 
     def __init__(self, command: str, checks: tuple[CheckResult, ...]):
+        checks = tuple(checks)
+        if not all(isinstance(check, CheckResult) for check in checks):
+            raise InputError("report checks must be CheckResults")
         _set(self, "command", command)
-        _set(self, "checks", tuple(checks))
+        _set(self, "checks", checks)
 
     @property
     def ok(self) -> bool:

@@ -44,6 +44,20 @@ expressions.  This works because negation sits inside `^`: `-x^n` reads as
 `(-x)^n`, so a run of minus signs before a factor is just the sign
 (-1)^(minus signs * n) of the whole term, and `-z1^2` is `z1^2`.  A `^0`
 factor is 1, whatever its base (`0^0` included).
+
+Canonical sums are read a term at a time.  At nesting depth 0 (an
+assignment's right-hand side, or a standalone expression) whose first token
+is a number, a name or '-', parse_expression first scans the leading run of
+flat terms with one _TERM_RE match per term.  A flat term is an optional '-'
+and up to 32 factors joined by '*', each a number, `a/b` or a name with an
+optional `^n`, and no whitespace inside; spaces or tabs may surround the '+'
+or '-' before it.  Each scanned term is folded by string splitting with
+_term's rules.  The scan stops before the first term that is followed, past
+any whitespace, by '^', '/', '*', '(' or a comment, or that holds a literal
+past the int/str digit limit or a zero denominator, or more factors; the
+tokens then resume after the last scanned term.  A scanned span holds no
+newline and reads to the same value as the token path would, so the token
+path still makes every diagnostic.
 """
 
 from __future__ import annotations
@@ -83,15 +97,33 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# kind is "number", "ident", "eof", or the operator character itself.
-Token = namedtuple("Token", ("kind", "text", "line", "column"))
+# One flat term at depth 0, the operator before it included: a run of up to
+# 32 number, a/b or name factors, each with an optional ^n, joined by '*'.
+# The guards after a factor keep a failed match from backtracking into a
+# shorter name or number, and the lookahead makes sure that no ^, /, *, (
+# or comment follows, past any whitespace, that the token path would read
+# as part of the term.
+_FACTOR = r"(?:[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*)(?:\^[0-9]+)?(?![A-Za-z0-9_])"
+_TERM_RE = re.compile(
+    rf"[ \t]*([+-]?)[ \t]*(-?)({_FACTOR}(?:\*{_FACTOR}){{0,31}})"
+    r"(?=[ \t\r\n]*(?:[^*^/(# \t\r\n]|\Z))"
+)
+
+# kind is "number", "ident", "eof", or the operator character itself;
+# offset is the index of the token's first character in the text.
+Token = namedtuple("Token", ("kind", "text", "line", "column", "offset"))
+# Builds a Token from one tuple of its fields without the Python-level
+# Token.__new__, at about half the cost per token.
+_new_token = tuple.__new__
+
+# The kinds of first token that the term scanner may start at.
+_SCANNED = ("number", "ident", "-")
 
 
-def _tokenize(text: str) -> Iterator[Token]:
+def _tokenize(text: str, pos: int = 0, line: int = 1, line_start: int = 0) -> Iterator[Token]:
     # A generator, so that a syntax error costs only the text before it.
-    line = 1
-    line_start = 0
-    for match in _TOKEN_RE.finditer(text):
+    # It starts at pos, on the given line, which starts at line_start.
+    for match in _TOKEN_RE.finditer(text, pos):
         kind = match.lastgroup
         if kind == "ws":
             # Only whitespace spans lines: a comment stops before its newline.
@@ -102,11 +134,12 @@ def _tokenize(text: str) -> Iterator[Token]:
                 line_start = match.start() + value.rfind("\n") + 1
         elif kind != "comment":
             value = match.group()
-            column = match.start() - line_start + 1
+            start = match.start()
+            column = start - line_start + 1
             if kind == "bad":
                 raise ParseError(f"unexpected character {value!r}", line, column)
-            yield Token(value if kind == "op" else kind, value, line, column)
-    yield Token("eof", "", line, len(text) - line_start + 1)
+            yield _new_token(Token, (value if kind == "op" else kind, value, line, column, start))
+    yield Token("eof", "", line, len(text) - line_start + 1, len(text))
 
 
 def _error_at(token: Token, message: str) -> ParseError:
@@ -153,8 +186,45 @@ class RawBlock:
         self.items = items
 
 
+def _monomial_term(numerator: int, denominator: int, exponents: dict[str, int]) -> Expression:
+    if not numerator:
+        return Expression.zero()
+    g = math.gcd(numerator, denominator)
+    return Expression._build({tuple(sorted(exponents.items())): numerator // g}, denominator // g)
+
+
+def _flat_term(body: str, negations: int) -> Expression | None:
+    # _term's fold of a scanned term's factors, or None where _term would
+    # raise: a literal past the int/str digit limit or a zero denominator.
+    numerator = denominator = 1
+    exponents: dict[str, int] = {}
+    for factor in body.split("*"):
+        base, _, power = factor.partition("^")
+        try:
+            power = int(power) if power else 1
+            if base[0] > "9":  # a name: letters and '_' sort after digits
+                if power:
+                    exponents[base] = exponents.get(base, 0) + power
+            else:
+                value, _, divisor = base.partition("/")
+                value = int(value)
+                divisor = int(divisor) if divisor else 1
+                if not divisor:
+                    return None
+                if power:
+                    numerator *= value**power
+                    denominator *= divisor**power
+        except ValueError:
+            return None
+        if negations & power & 1:
+            numerator = -numerator
+        negations = 0
+    return _monomial_term(numerator, denominator, exponents)
+
+
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.token = next(self.tokens)  # the current token, not yet consumed
         self.following: Token | None = None  # pulled past it by lookahead()
@@ -196,12 +266,38 @@ class _Parser:
     def parse_expression(self) -> Expression:
         # All terms go into one sum at the end: folding `value + right` per
         # operator would copy the partial sum each time, which is quadratic.
-        added = [self._term()]
-        subtracted = []
+        added, subtracted = [], []
+        if self.depth == 0 and self.following is None and self.token.kind in _SCANNED:
+            self._scan_terms(added, subtracted)
+        if not added:
+            added.append(self._term())
         while self.token.kind in ("+", "-"):
             op = self.advance()
             (added if op.kind == "+" else subtracted).append(self._term())
         return Expression.sum(added, subtracted)
+
+    def _scan_terms(self, added: list, subtracted: list):
+        # The leading run of flat terms, one _TERM_RE match each (see the
+        # module docstring); the tokens then resume after the last of them.
+        token = self.token
+        text, pos, end = self.text, token.offset, None
+        while match := _TERM_RE.match(text, pos):
+            op, sign, body = match.groups()
+            if end is None:  # the first term: its operator is a leading '-'
+                negations, target = len(op) + len(sign), added
+            elif op:
+                negations, target = len(sign), added if op == "+" else subtracted
+            else:
+                break
+            term = _flat_term(body, negations)
+            if term is None:
+                break
+            target.append(term)
+            pos = end = match.end()
+        if end is not None:
+            line_start = token.offset - token.column + 1
+            self.tokens = _tokenize(text, end, token.line, line_start)
+            self.token = next(self.tokens)
 
     def _term(self) -> Expression:
         # Folds number and name factors into one coefficient and one monomial
@@ -257,14 +353,10 @@ class _Parser:
             if self.token.kind != "*":
                 break
             self.advance()
-        if not numerator:
-            return Expression.zero()
-        g = math.gcd(numerator, denominator)
-        term = Expression._build(
-            {tuple(sorted(exponents.items())): numerator // g}, denominator // g
-        )
-        for group in groups:
-            term = term * group
+        term = _monomial_term(numerator, denominator, exponents)
+        if numerator:
+            for group in groups:
+                term = term * group
         return term
 
     # -- document grammar ------------------------------------------------------
@@ -342,6 +434,8 @@ class DeclaredTransition(_Record):
     __slots__ = ("base_map", "fibre_components")
 
     def __init__(self, base_map: TransitionMap, fibre_components: tuple | None = None):
+        if not isinstance(base_map, TransitionMap):
+            raise InputError("declared transition needs a TransitionMap base map")
         if fibre_components is not None:
             fibre_components = tuple(fibre_components)
         _set(self, "base_map", base_map)
@@ -352,6 +446,11 @@ class DocumentObject(_Record):
     __slots__ = ("kind", "name", "value")
 
     def __init__(self, kind: str, name: str, value: object):
+        if kind not in _OBJECT_KINDS:
+            raise InputError(f"unknown object kind {kind!r}")
+        value_type = _OBJECT_KINDS[kind][0] or DeclaredTransition
+        if not isinstance(value, value_type):
+            raise InputError(f"a {kind} object needs a {value_type.__name__} value")
         _set(self, "kind", kind)
         _set(self, "name", name)
         _set(self, "value", value)
@@ -363,8 +462,13 @@ class Document(_Record):
     __slots__ = ("chart", "objects")
 
     def __init__(self, chart: Chart, objects: tuple[DocumentObject, ...]):
+        if not isinstance(chart, (AdaptedChart, BundleChart)):
+            raise InputError("document needs an AdaptedChart or BundleChart chart")
+        objects = tuple(objects)
+        if not all(isinstance(obj, DocumentObject) for obj in objects):
+            raise InputError("document objects must be DocumentObjects")
         _set(self, "chart", chart)
-        _set(self, "objects", tuple(objects))
+        _set(self, "objects", objects)
 
     @property
     def base(self) -> AdaptedChart:

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import random
+import re
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import folicalc as fc
-from folicalc import Expression, parse_document, print_document
+from folicalc import Expression, dsl, parse_document, print_document
 
 import faults
+import randgen
 
 SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.fol"))
 
@@ -320,9 +324,190 @@ BIG = "1" * 5001
         ("\nform w {", "unterminated block", 2, 9),
         ("\r\n# note\r\n# more\r\nform w { w = z1^-2 }", "exponent, found '-'", 4, 17),
         ("\r\n# note\r\nform w { w = 2/0 }\r\n", "denominator must be positive", 3, 16),
+        # After scanned terms: the zero denominator is reported before the
+        # exponent that would drop its factor, and a term that a comment and
+        # a newline do not end is read by the token path.
+        ("\nform w { w = 1/0^0 }", "denominator must be positive", 2, 16),
+        ("\nform w { w = z1 + 1/0^0*z2 }", "denominator must be positive", 2, 21),
+        ("\nform w { w = z1 # c\n*z2 + 1/0 }", "denominator must be positive", 3, 9),
+        ("\nform w { w = z1 + " + BIG + " }", "too many digits (5001)", 2, 19),
+        ("\nform w { w = z1 - z2^" + BIG + " }", "too many digits (5001)", 2, 22),
+        ("\nform w { w = z1 + z2 z3 }", "expected a value after 'z3'", 2, 25),
+        ("\nform w { w = z1 + z2^ }", "exponent, found '}'", 2, 23),
     ],
 )
 def test_error_position_and_order(tail, message, line, column):
     error = err(MINIMAL + tail)
     assert message in error.message
     assert (error.line, error.column) == (line, column)
+
+
+# -- the term scanner ---------------------------------------------------------
+#
+# The scanner reads leading flat terms by one pattern match each; with the
+# pattern swapped for one that never matches, the token path reads every
+# term.  Both must give an equal Expression or Document, or the same
+# (message, line, column).
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except fc.ParseError as error:
+        return (error.message, error.line, error.column)
+
+
+def _both_paths(monkeypatch, parse, text):
+    scanned = _outcome(parse, text)
+    with monkeypatch.context() as patch:
+        patch.setattr(dsl, "_TERM_RE", re.compile("(?!)"))
+        return scanned, _outcome(parse, text)
+
+
+_FACTORS = ("0", "1", "2", "007", "12", "0/5", "1/0", "3/4", "10/6", "z1", "z2", "u",
+            "_a1", "x9")
+_LONG = ("9" * 4300, "1" * 4301)  # at and past the int/str digit limit
+_POWERS = ("", "", "", "^0", "^1", "^2", "^3", "^007", " ^2", "^ 2", "^" + _LONG[1])
+_SIGNS = ("", "", "", "", "-", "--", "- ", "-\t")
+_TIMES = ("*", "*", "*", "*", " * ", "*\n", " # c\n*", "\t*", "*-")
+_OPS = (" + ", " - ", " + ", " - ", "+", "-", "\t+\t", " +  ", "\n+ ", " # c\n+ ", " -- ",
+        "+-", " - -", "\r\n- ", " ")
+_LEADS = ("", "", "", " ", "\n", "# c\n", "\t")
+_TAILS = ("", "", "", "^2", "*", "/3", ")", " # c\n*z2", " $", "\n", " z1", " (", " # c",
+          "\n^2", "\n\n* z1", "1", "=", "]")
+
+
+def _random_expression(rng, depth=0):
+    text = ""
+    for position in range(rng.choice((1, 1, 2, 3, 5, 8))):
+        if position:
+            text += rng.choice(_OPS)
+        count = rng.choice((1, 1, 2, 3, 4)) if rng.random() > 0.02 else rng.randint(31, 34)
+        for index in range(count):
+            if index:
+                text += rng.choice(_TIMES)
+            if depth < 2 and rng.random() < 0.05:
+                base = "(" + _random_expression(rng, depth + 1) + ")"
+            elif rng.random() < 0.01:
+                base = rng.choice(_LONG)
+            else:
+                base = rng.choice(_FACTORS)
+            power = rng.choice(_POWERS) if rng.random() > 0.01 else "^" + _LONG[1]
+            text += rng.choice(_SIGNS) + base + power
+    return text
+
+
+def test_scanner_agrees_with_the_token_path_on_expressions(monkeypatch):
+    rng = random.Random(2010)
+    for _ in range(3000):
+        text = rng.choice(_LEADS) + _random_expression(rng) + rng.choice(_TAILS)
+        scanned, tokens = _both_paths(monkeypatch, fc.parse_expression, text)
+        assert scanned == tokens, text
+
+
+def _mutations(rng, text):
+    # The text workload's three early errors, and random one-character edits.
+    at = text.index("{") + 1
+    yield text[:at] + "{" + text[at:]
+    if " = " in text:
+        at = text.index(" = ")
+        yield text[: at + 1] + text[at + 3 :]
+    if "[" in text:
+        at = text.index("[") + 1
+        yield text[:at] + "[" + text[at:]
+    for _ in range(4):
+        at = rng.randrange(len(text))
+        yield text[:at] + rng.choice("+-*^/()#\n 0z\t") + text[at:]
+        yield text[:at] + text[at + 1 :]
+
+
+def _random_document(rng):
+    base = randgen.adapted_chart(rng)
+    chart = randgen.bundle_chart(rng, base)
+    variables = sorted(chart.all_coords)
+
+    def coefficient():
+        return randgen.expression(rng, variables, max_degree=4, max_terms=rng.choice((3, 12)))
+
+    components = tuple(randgen.expression(rng, base.coords) for _ in base.coords)
+    return fc.Document(chart, (
+        fc.DocumentObject("form", "alpha", fc.LeafwiseForm(chart, 1, {
+            (i,): coefficient() for i in range(chart.dim_leaf)})),
+        fc.DocumentObject("exterior_form", "sigma", randgen.exterior_form(rng, chart)),
+        fc.DocumentObject("connection", "G", randgen.connection(rng, chart)),
+        fc.DocumentObject("leafwise_connection", "A", randgen.leafwise_connection(rng, chart)),
+        fc.DocumentObject("splitting", "B", randgen.splitting(rng, base)),
+        fc.DocumentObject("section", "s", randgen.section(rng, chart)),
+        fc.DocumentObject("transition", "t", fc.DeclaredTransition(
+            fc.TransitionMap(base, components))),
+    ))
+
+
+def test_scanner_agrees_with_the_token_path_on_documents(monkeypatch):
+    rng = random.Random(2011)
+    for _ in range(60):
+        document = _random_document(rng)
+        text = print_document(document)
+        assert _both_paths(monkeypatch, parse_document, text) == (document, document)
+        for bad in _mutations(rng, text):
+            scanned, tokens = _both_paths(monkeypatch, parse_document, bad)
+            assert scanned == tokens, bad
+
+
+def test_scanner_reads_canonical_terms_without_the_token_path(monkeypatch):
+    calls = []
+    term = dsl._Parser._term
+    monkeypatch.setattr(dsl._Parser, "_term", lambda self: calls.append(1) or term(self))
+    assert str(fc.parse_expression("-1*z1^2 + 1/2*z1 - 3*z2^2 + z3")) == (
+        "-1*z1^2 - 3*z2^2 + 1/2*z1 + z3"
+    )
+    assert calls == []
+    # A parenthesised term, the terms inside it and every term after it go
+    # through _term.
+    fc.parse_expression("z1 + (z2 + 1) - z3")
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # A comment and a newline do not end a term that '*' continues.
+        ("u # c\n*z2", "u*z2"),
+        ("u\n*z2 + 1", "u*z2 + 1"),
+        ("z1 + u # c\n*z2", "u*z2 + z1"),
+        # '-' binds inside '^': -z1^2 is (-z1)^2, and ^0 drops its factor.
+        ("-z1^2 - -z2^3", "z2^3 + z1^2"),
+        ("--z1^3 + 2", "z1^3 + 2"),
+        ("-z1^0*z2 + 0^0 + 007*0/5", "z2 + 1"),
+        ("z1" + "*z1" * 40, "z1^41"),
+    ],
+)
+def test_scanned_readings(text, expected):
+    assert str(fc.parse_expression(text)) == expected
+
+
+def test_scanner_memory_is_bounded():
+    # One match per term, with a bounded factor repeat: a 600 KB single term
+    # stays within a few MB, and a long flat sum within what the token path
+    # needs for its terms (about 720 bytes a term on CPython 3.11).  The time
+    # bound only catches runaway backtracking.
+    single = "z1" + "*z1" * 200_000
+    coefficients = ("3/7*", "", "5*", "1/2*")
+    flat = "".join(
+        (" - " if i % 3 == 0 else " + ") + coefficients[i % 4] + f"u*z1^{i}"
+        for i in range(50_001, 1, -1)
+    )[3:]
+    for text, limit in ((single, 4e6), (flat, 50_000 * 1000)):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            value = fc.parse_expression(text)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit and elapsed < 60, (len(text), peak, elapsed)
+        if text is single:
+            assert value == Expression.variable("z1") ** 200_001
+        else:
+            assert str(value) == flat

@@ -69,6 +69,10 @@ def _bundle():
     return BundleChart(_chart(), ("u",))
 
 
+def _object(value=z1):
+    return DocumentObject("section", "s", BundleSection(_bundle(), (value,)))
+
+
 # Per record: a factory of equal values, a different value, the exact repr
 # of the factory's value and the field names in order.
 RECORDS = {
@@ -110,16 +114,16 @@ RECORDS = {
         ("base_map", "fibre_components"),
     ),
     "DocumentObject": (
-        lambda: DocumentObject("form", "w", z1),
-        DocumentObject("form", "w", z2),
-        "DocumentObject(kind='form', name='w', value=Expression('z1'))",
+        _object,
+        _object(z2),
+        "DocumentObject(kind='section', name='s', value=<s[u] = z1>)",
         ("kind", "name", "value"),
     ),
     "Document": (
-        lambda: Document(_chart(), (DocumentObject("form", "w", z1),)),
-        Document(_chart(), ()),
-        f"Document(chart={CHART_REPR}, "
-        "objects=(DocumentObject(kind='form', name='w', value=Expression('z1')),))",
+        lambda: Document(_bundle(), (_object(),)),
+        Document(_bundle(), ()),
+        f"Document(chart=BundleChart(base={CHART_REPR}, fibre_coords=('u',)), "
+        "objects=(DocumentObject(kind='section', name='s', value=<s[u] = z1>),))",
         ("chart", "objects"),
     ),
 }
@@ -176,8 +180,9 @@ def test_equality_needs_the_same_record_type():
     chart = _chart()
     base = BundleChart(chart, ("u",))
     # Same field values in a different record type are unequal.
-    assert DocumentObject("form", "w", z1) != CheckResult("form", "w", z1)
-    assert Report("form", (z1,)) != DeclaredTransition("form", (z1,))
+    section = _object().value
+    assert DocumentObject("section", "s", section) != CheckResult("section", "s", section)
+    assert Report(_map(), ()) != DeclaredTransition(_map(), ())
     assert base.base == chart and base != chart
 
 
@@ -252,11 +257,11 @@ def test_list_inputs_become_tuples():
     assert type(report.checks) is tuple
     assert report == Report("check", (_result(),))
     assert hash(report) == hash(Report("check", (_result(),)))
-    objects = [DocumentObject("form", "w", z1)]
-    document = Document(_chart(), objects)
+    objects = [_object()]
+    document = Document(_bundle(), objects)
     assert type(document.objects) is tuple
-    assert document == Document(_chart(), tuple(objects))
-    assert hash(document) == hash(Document(_chart(), tuple(objects)))
+    assert document == Document(_bundle(), tuple(objects))
+    assert hash(document) == hash(Document(_bundle(), tuple(objects)))
     declared = DeclaredTransition(_map(), [z1])
     assert type(declared.fibre_components) is tuple
     assert declared == DeclaredTransition(_map(), (z1,))
@@ -284,6 +289,27 @@ def test_list_inputs_become_tuples():
         (lambda: TransitionMap(_bundle(), (z1, z2, z3)), "transition map needs an AdaptedChart target"),
         (lambda: TransitionMap(_chart(), (z1, z2, 3)), "transition components must be expressions"),
         (lambda: TransitionMap(_chart(), (z1, z2)), "transition needs 3 components, got 2"),
+        (lambda: Report("check", (z1,)), "report checks must be CheckResults"),
+        (lambda: DeclaredTransition(None), "declared transition needs a TransitionMap base map"),
+        (lambda: DeclaredTransition(_chart(), (z1,)), "declared transition needs a TransitionMap base map"),
+        (lambda: DocumentObject("thing", "w", z1), "unknown object kind 'thing'"),
+        (lambda: DocumentObject("form", "w", z1), "a form object needs a LeafwiseForm value"),
+        (
+            lambda: DocumentObject("form", "w", ExteriorForm(_chart(), 0)),
+            "a form object needs a LeafwiseForm value",
+        ),
+        (
+            lambda: DocumentObject("transition", "t", _map()),
+            "a transition object needs a DeclaredTransition value",
+        ),
+        (
+            lambda: DocumentObject("connection", "G", LeafwiseConnection(_bundle())),
+            "a connection object needs a Connection value",
+        ),
+        (lambda: Document(None, ()), "document needs an AdaptedChart or BundleChart chart"),
+        (lambda: Document(_map(), ()), "document needs an AdaptedChart or BundleChart chart"),
+        (lambda: Document(_chart(), (z1,)), "document objects must be DocumentObjects"),
+        (lambda: Document(_chart(), (_object(), None)), "document objects must be DocumentObjects"),
     ],
 )
 def test_validation_errors(build, message):
