@@ -467,6 +467,21 @@ class Document(_Record):
         objects = tuple(objects)
         if not all(isinstance(obj, DocumentObject) for obj in objects):
             raise InputError("document objects must be DocumentObjects")
+        # What parse_document would build from the printed text: distinct
+        # names, and each object over the chart its block kind is built on.
+        base = base_chart(chart)
+        names = set()
+        for obj in objects:
+            if obj.name in names:
+                raise InputError(f"duplicate name {obj.name!r}")
+            names.add(obj.name)
+            if obj.kind == "transition":
+                over, expected = obj.value.base_map.target, base
+            else:
+                over = obj.value.chart
+                expected = base if obj.kind == "splitting" else chart
+            if over != expected:
+                raise InputError(f"{obj.kind} {obj.name!r} is not over the document's chart")
         _set(self, "chart", chart)
         _set(self, "objects", objects)
 

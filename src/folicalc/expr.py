@@ -28,6 +28,14 @@ folicalc.dsl.parse_expression to an equal Expression:
     Expression.variable("z1") ** 2 - Expression.variable("z2") ** 2
     # prints as "z1^2 - z2^2"
 
+The order comes from one packed int per monomial: a bit field per variable
+as wide as its largest exponent, the first name in the highest, under a
+field for the total degree, so the sort compares ints in C.  A key wider
+than _ORDER_KEY_BITS would grow with the number of variables times the size
+of their exponents (a 2,000-term sum over 2,000 variables with exponents
+near 2**64 printed in 58 ms, against 3.0 ms by tuple keys), so such sums
+sort by a tuple key instead.
+
 Constructors accept only int (not bool) and Fraction scalars and raise
 InputError for anything else, floats included.
 
@@ -37,15 +45,18 @@ Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors" (CASC 2007).  Each monomial becomes one int with a
 bit field per variable, wide enough that adding two keys never carries, so a
 pair of terms costs one int addition and one multiply-add, and the monomial
-tuple is built once per output term.  Packing costs a fixed amount, and only
-collisions repay it.  Kernel time over direct-loop time (2-vCPU VM, Python
-3.11.7) is 1.6 to 5.4 below 16 pairs on every operand set timed: dense
-factors in two variables, sparse ones in six, and the products the
-benchmark's workloads make.  From 16 to 63 pairs it is 0.87 to 1.5 on dense
-factors, 1.0 to 1.6 on sparse ones and 1.4 to 5.9 on the ring workload's
-products; sweep and cli make none above 19 pairs.  From 64 pairs it is 0.69
-to 0.78 on dense factors, 1.0 on sparse ones and 0.33 to 1.0 on ring's, so
-_PACKED_MIN_PAIRS = 64, the smallest size at which the kernel loses on none.
+tuple is built once per output term, from (name, exponent) pairs that the
+output shares.  Packing costs a fixed amount, and only collisions repay it.
+Kernel time over direct-loop time (2-vCPU VM, Python 3.11.7) is 1.4 to 6.4
+below 16 pairs on every operand set timed: dense factors in two variables,
+sparse ones in six, and the products the benchmark's workloads make.  From
+16 to 63 pairs it is 0.82 to 2.0 on dense factors, 1.4 to 2.1 on sparse ones
+and 1.1 to 3.2 on the workloads' products.  From 64 pairs it is 0.35 to 0.80
+on dense factors, 1.1 to 1.6 on sparse ones (below 1 only from ~900 pairs)
+and 0.20 to 1.2 on the workloads', where it loses only at 75 and 126 pairs
+(1.06 to 1.18) and wins from 175.  A threshold of 128 or 176 moved ring's
+run time by under 2%, within noise, and gives up the dense factors' gain, so
+_PACKED_MIN_PAIRS = 64.
 """
 
 from __future__ import annotations
@@ -71,6 +82,11 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # having two or more terms, go through _packed_product; see the module
 # docstring for the measurement behind the value.
 _PACKED_MIN_PAIRS = 64
+
+# The widest packed key, in bits, that _ordered sorts by.  Wider keys would
+# make printing superlinear in the number of variables times the size of
+# their exponents.
+_ORDER_KEY_BITS = 256
 
 
 def is_identifier(name: str) -> bool:
@@ -106,11 +122,37 @@ def _reduced(coeffs: dict, den: int, bound: int) -> "Expression":
     return Expression._build(coeffs, den)
 
 
-def _term_order_key(item: tuple[Monomial, int | Fraction]):
-    # Ascending sort by this key = descending graded lex order.  Negating the
-    # exponents makes an earlier variable with a higher power sort first.
-    mono = item[0]
-    return (-sum(e for _, e in mono), tuple((v, -e) for v, e in mono))
+def _ordered(coeffs: Mapping[Monomial, int]) -> list:
+    # (key, monomial, numerator) triples in canonical order, descending
+    # graded lex.  Each variable owns a bit field as wide as its largest
+    # exponent, the first name in sort order the highest, and the total
+    # degree a field above them all, so a monomial's packed key orders like
+    # its (degree, exponent vector) and the sort compares distinct ints in C.
+    # Past _ORDER_KEY_BITS the tuple key sorts instead, in bounded time.
+    if len(coeffs) < 2:
+        return [(0, mono, num) for mono, num in coeffs.items()]
+    pairs = {pair for mono in coeffs for pair in mono}
+    top: dict[str, int] = {}
+    for name, exponent in pairs:
+        if exponent > top.get(name, 0):
+            top[name] = exponent
+    shifts = {}
+    shift = 0
+    for name in sorted(top, reverse=True):
+        shifts[name] = shift
+        shift += top[name].bit_length()
+    if shift + sum(top.values()).bit_length() > _ORDER_KEY_BITS:
+        return sorted([
+            ((-sum([e for _, e in mono]), tuple([(v, -e) for v, e in mono])), mono, num)
+            for mono, num in coeffs.items()
+        ])
+    # Each pair's share of the key: its exponent in its own field and in
+    # the degree field.
+    degree = 1 << shift
+    share = {pair: ((1 << shifts[pair[0]]) + degree) * pair[1] for pair in pairs}.__getitem__
+    return sorted(
+        [(sum(map(share, mono)), mono, num) for mono, num in coeffs.items()], reverse=True
+    )
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
@@ -146,35 +188,52 @@ def _packed_product(
     # variable owns a bit field wide enough for the largest exponent sum it
     # can reach, so adding two keys adds exponents field by field without
     # carries, and the keys of distinct product monomials stay distinct.
-    top_a: dict[str, int] = {}
-    top_b: dict[str, int] = {}
-    for coeffs, top in ((a, top_a), (b, top_b)):
-        for mono in coeffs:
-            for name, exponent in mono:
-                if exponent > top.get(name, 0):
-                    top[name] = exponent
+    pairs_a = {pair for mono in a for pair in mono}
+    pairs_b = {pair for mono in b for pair in mono}
+    exponents: dict[str, tuple[list[int], list[int]]] = {}
+    for side, pairs in enumerate((pairs_a, pairs_b)):
+        for name, exponent in pairs:
+            seen = exponents.get(name)
+            if seen is None:
+                seen = exponents[name] = ([0], [0])
+            seen[side].append(exponent)
     shifts: dict[str, int] = {}
     fields = []
     shift = 0
-    for name in sorted(top_a.keys() | top_b.keys()):
-        width = (top_a.get(name, 0) + top_b.get(name, 0)).bit_length()
+    for name in sorted(exponents):
+        xs, ys = exponents[name]
+        width = (max(xs) + max(ys)).bit_length()
         shifts[name] = shift
         fields.append((name, shift, (1 << width) - 1))
         shift += width
-    left = [(sum(e << shifts[v] for v, e in mono), c) for mono, c in a.items()]
-    right = [(sum(e << shifts[v] for v, e in mono), c) for mono, c in b.items()]
+    packed = {pair: pair[1] << shifts[pair[0]] for pair in pairs_a | pairs_b}.__getitem__
+    left = [(sum(map(packed, mono)), c) for mono, c in a.items()]
+    right = [(sum(map(packed, mono)), c) for mono, c in b.items()]
     acc: dict[int, int] = {}
     get = acc.get
     for key_a, num_a in left:
         for key_b, num_b in right:
             key = key_a + key_b
             acc[key] = get(key, 0) + num_a * num_b
+    # Keys decode through a table per field of the (name, exponent) pairs
+    # that the factors' exponent sums make, so the monomials share their
+    # pairs, unless the tables would hold more pairs than the product has
+    # terms (exponents that rarely repeat), where they cost more than they
+    # save.
+    if sum([len(xs) * len(ys) for xs, ys in exponents.values()]) > len(acc):
+        return {
+            tuple([(name, e) for name, shift, mask in fields if (e := key >> shift & mask)]): num
+            for key, num in acc.items()
+            if num
+        }
+    tables = []
+    for name, shift, mask in fields:
+        xs, ys = exponents[name]
+        table = {x + y: (name, x + y) for x in xs for y in ys}
+        table[0] = None
+        tables.append((shift, mask, table))
     return {
-        tuple([
-            (name, exponent)
-            for name, shift, mask in fields
-            if (exponent := (key >> shift) & mask)
-        ]): num
+        tuple([pair for shift, mask, table in tables if (pair := table[key >> shift & mask])]): num
         for key, num in acc.items()
         if num
     }
@@ -197,17 +256,24 @@ def _add_into(acc: dict, entries: Mapping, negate=False):
                 del acc[key]
 
 
+def _common_denominator(dens: Iterable[int]) -> tuple[int, int]:
+    # The lcm of the denominators, and Henrici's bound on the factor a sum
+    # over it can leave shared with every numerator.
+    den = bound = 1
+    for d in dens:
+        if d != 1:
+            g = math.gcd(den, d)
+            if g != 1:
+                bound = math.lcm(bound, g)
+            den = den // g * d
+    return den, bound
+
+
 def _linear(parts: Sequence[tuple["Expression", bool]]) -> "Expression":
     # The sum of the parts, each negated where its flag is set, over the lcm
     # of their denominators.  Henrici's bound on the factor left shared with
     # every numerator (see the module docstring) is folded with the lcm.
-    den = bound = 1
-    for part, _ in parts:
-        if part._den != 1:
-            g = math.gcd(den, part._den)
-            if g != 1:
-                bound = math.lcm(bound, g)
-            den = den // g * part._den
+    den, bound = _common_denominator([part._den for part, _ in parts])
     acc: dict[Monomial, int] = {}
     for part, negate in parts:
         scale = den // part._den
@@ -228,7 +294,7 @@ class Expression:
     __slots__ = ("_coeffs", "_den", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        parts = []
+        entries = []
         for mono, coeff in (terms or {}).items():
             num, den = _scalar(coeff)
             if not num:
@@ -243,8 +309,14 @@ class Expression:
                     )
             if len({v for v, _ in key}) != len(key):
                 raise InputError("monomial repeats a variable")
-            parts.append((Expression._build({key: num}, den), False))
-        total = _linear(parts)
+            entries.append((key, num, den))
+        den, bound = _common_denominator([d for _, _, d in entries])
+        acc: dict[Monomial, int] = {}
+        for key, num, d in entries:
+            acc[key] = acc.get(key, 0) + num * (den // d)
+        if 0 in acc.values():
+            acc = {m: c for m, c in acc.items() if c}
+        total = _reduced(acc, den, bound)
         self._coeffs, self._den = total._coeffs, total._den
 
     @staticmethod
@@ -312,8 +384,8 @@ class Expression:
         try:
             return self._terms
         except AttributeError:
-            items = ((m, Fraction(c, self._den)) for m, c in self._coeffs.items())
-            self._terms = tuple(sorted(items, key=_term_order_key))
+            den = self._den
+            self._terms = tuple([(m, Fraction(c, den)) for _, m, c in _ordered(self._coeffs)])
             return self._terms
 
     def is_zero(self) -> bool:
@@ -367,10 +439,13 @@ class Expression:
                 for mono_b, num_b in right.items():
                     mono = _merge_monomials(mono_a, mono_b)
                     product[mono] = product.get(mono, 0) + num_a * num_b
+            if 0 in product.values():
+                product = {m: c for m, c in product.items() if c}
         # Gauss's lemma: the exact factor the numerators share with the
         # product of the denominators (see the module docstring).
         g = math.gcd(self._den, *right.values()) * math.gcd(other._den, *left.values())
-        product = {m: c // g for m, c in product.items() if c}
+        if g != 1:
+            product = {m: c // g for m, c in product.items()}
         return Expression._build(product, self._den * other._den // g)
 
     __rmul__ = __mul__
@@ -472,8 +547,7 @@ class Expression:
             return "0"
         den = self._den
         parts = []
-        terms = sorted(self._coeffs.items(), key=_term_order_key)
-        for position, (mono, num) in enumerate(terms):
+        for position, (_, mono, num) in enumerate(_ordered(self._coeffs)):
             magnitude = -num if num < 0 else num
             g = math.gcd(magnitude, den)
             body = _term_text(mono, magnitude // g, den // g)

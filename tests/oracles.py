@@ -3,7 +3,8 @@
 These deliberately take different computational routes: permutation signs by
 brute-force inversion counting, the wedge by the shuffle-sum over index
 splits, expression identities by exact evaluation at random rational
-points, and parsed text by ring operations on its parse tree.
+points, parsed text by ring operations on its parse tree, and the canonical
+term order by sorting exponent vectors.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ def schoolbook_product(a, b) -> dict:
     independently of the ring's own product code.
     """
     return dict_product(dict(a.terms), dict(b.terms))
+
+
+def canonical_order(expr) -> list:
+    """The monomials of expr in descending graded lex order.
+
+    Each monomial becomes its total degree and its vector of exponents over
+    every variable name of expr, in sorted name order, and the monomials
+    are sorted by that pair, largest first.
+    """
+    monomials = [mono for mono, _ in expr.terms]
+    names = sorted({name for mono in monomials for name, _ in mono})
+
+    def degree_and_vector(mono):
+        exponents = dict(mono)
+        vector = [exponents.get(name, 0) for name in names]
+        return sum(vector), vector
+
+    return sorted(monomials, key=degree_and_vector, reverse=True)
 
 
 # -- ring operations on {monomial: Fraction} dicts --------------------------------

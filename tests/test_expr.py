@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import folicalc as fc
 from folicalc import Expression
+from folicalc import expr as expr_module
 from folicalc.expr import _PACKED_MIN_PAIRS
 
 import oracles
@@ -398,6 +399,114 @@ def test_multinomial_coefficients_at_size():
     _assert_canonical(power)
 
 
+def test_product_with_exponents_near_2_70_finishes():
+    # The kernel's decode tables hold only the exponent sums that occur, so
+    # exponents near 2**70 cost no more than small ones.
+    x, y = Expression.variable("z1"), Expression.variable("z10")
+    a = Expression.sum((i + 1) * x ** (2**70 + i) * y ** (3 * i + 1) for i in range(9))
+    b = Expression.sum((i + 2) * x ** (2**69 + 5 * i) + y ** (2**70 - i) for i in range(8))
+    assert len(a.terms) * len(b.terms) >= _PACKED_MIN_PAIRS
+    start = time.perf_counter()
+    product = a * b
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert dict(product.terms) == oracles.schoolbook_product(a, b)
+    _assert_canonical(product)
+
+
+def test_products_of_unshared_exponents_cost_about_a_direct_loop():
+    # Exponents that never repeat: decode tables would hold eight times as
+    # many pairs as the product has terms, so the kernel builds none and
+    # costs about what the direct loop does (~0.9 of it; ~2.8 with tables).
+    rng = random.Random(3)
+
+    def factor():
+        return Expression({
+            tuple((f"x{i}", rng.randint(1, 10**6)) for i in range(8)): rng.randint(1, 9)
+            for _ in range(150)
+        })
+
+    a, b = factor(), factor()
+    kernel, direct = [], []
+    saved = expr_module._PACKED_MIN_PAIRS
+    try:
+        for _ in range(3):
+            for times, threshold in ((kernel, saved), (direct, 10**9)):
+                expr_module._PACKED_MIN_PAIRS = threshold
+                start = time.perf_counter()
+                a * b
+                times.append(time.perf_counter() - start)
+    finally:
+        expr_module._PACKED_MIN_PAIRS = saved
+    assert min(kernel) < 1.6 * min(direct), (min(kernel), min(direct))
+
+
+# -- canonical order: the packed print key against an exponent-vector oracle -------
+
+# Both sort paths: the packed key, and the tuple key that every sum wider
+# than the limit takes (all of them at width 0).
+order_widths = pytest.mark.parametrize("width", [expr_module._ORDER_KEY_BITS, 0])
+
+
+@order_widths
+@settings(deadline=None, max_examples=60)
+@given(kernel_factors, kernel_factors)
+def test_terms_follow_the_canonical_order_oracle(width, a, b):
+    saved = expr_module._ORDER_KEY_BITS
+    expr_module._ORDER_KEY_BITS = width
+    try:
+        # Fresh copies: a cached order would hide the path under test.
+        for e in (-(-a), a * b, a - b):
+            assert [m for m, _ in e.terms] == oracles.canonical_order(e)
+            assert fc.parse_expression(str(e)) == e
+    finally:
+        expr_module._ORDER_KEY_BITS = saved
+
+
+def _wide_sums():
+    # 2,000 terms over 2,000 variables with exponents near 2**64: packed
+    # keys would be ~130,000 bits wide.
+    n = 2000
+    one = Expression.sum(Expression.variable(f"z{i}") ** (2**64 + i) for i in range(n))
+    two = Expression.sum(
+        Expression.variable(f"z{i}") ** (2**64 + i)
+        * Expression.variable(f"z{(i + 1) % n}") ** (2**64 + 7 * i)
+        for i in range(n)
+    )
+    return one, two
+
+
+def _tuple_key_order(coeffs):
+    # The order by tuple keys alone, whatever the width limit.
+    return sorted(
+        ((-sum(e for _, e in mono), tuple((v, -e) for v, e in mono)), mono, num)
+        for mono, num in coeffs.items()
+    )
+
+
+def _print_time(e, order):
+    saved = expr_module._ordered
+    expr_module._ordered = order
+    try:
+        start = time.perf_counter()
+        text = str(e)
+        return time.perf_counter() - start, text
+    finally:
+        expr_module._ordered = saved
+
+
+def test_wide_sums_print_in_tuple_key_time():
+    for e in _wide_sums():
+        default, tuple_key = [], []
+        for _ in range(5):
+            elapsed, text = _print_time(e, expr_module._ordered)
+            default.append(elapsed)
+            elapsed, reference = _print_time(e, _tuple_key_order)
+            tuple_key.append(elapsed)
+            assert text == reference
+        assert min(default) < 2 * min(tuple_key), (min(default), min(tuple_key))
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
@@ -638,6 +747,10 @@ half = Fraction(1, 2)
         (lambda: fc.parse_expression("1/2*x + 1/2*x - 6/4"), {(("x", 1),): 1, (): Fraction(-3, 2)}),
         (lambda: x * half - x * half, {}),
         (lambda: (x * half) * 0, {}),
+        # Entries whose monomials sort to one key merge in the constructor.
+        (lambda: Expression({(("x", 1), ("y", 1)): half, (("y", 1), ("x", 1)): half}),
+         {(("x", 1), ("y", 1)): 1}),
+        (lambda: Expression({(("x", 1), ("y", 1)): half, (("y", 1), ("x", 1)): -half}), {}),
     ],
 )
 def test_cancellation_leaves_canonical_form(build, expected):

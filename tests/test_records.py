@@ -317,6 +317,62 @@ def test_validation_errors(build, message):
         build()
 
 
+def _form_over(chart, name="w"):
+    return DocumentObject("form", name, LeafwiseForm(chart, 0, {(): z1}))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # Printed, this document reparsed to "8:7: variable 'z1' is not
+        # available in a form coefficient".
+        (
+            lambda: Document(AdaptedChart(("a",), ("b",)), (_form_over(_chart()),)),
+            "form 'w' is not over the document's chart",
+        ),
+        # Printed, this one reparsed to "11:6: duplicate name 'w'".
+        (lambda: Document(_chart(), (_form_over(_chart()),) * 2), "duplicate name 'w'"),
+        (
+            lambda: Document(_chart(), (_form_over(_chart()), _object())),
+            "section 's' is not over the document's chart",
+        ),
+        (
+            lambda: Document(_bundle(), (_form_over(_chart()),)),
+            "form 'w' is not over the document's chart",
+        ),
+        (
+            lambda: Document(_bundle(), (
+                DocumentObject("splitting", "B", Splitting(AdaptedChart(("z1",), ("z2", "z3")))),
+            )),
+            "splitting 'B' is not over the document's chart",
+        ),
+        (
+            lambda: Document(_bundle(), (
+                DocumentObject("transition", "t", DeclaredTransition(
+                    TransitionMap(AdaptedChart(("z1",), ("z2", "z3")), (z1, z2, z3)))),
+            )),
+            "transition 't' is not over the document's chart",
+        ),
+    ],
+)
+def test_documents_hold_what_their_text_parses_back_to(build, message):
+    with pytest.raises(fc.InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_documents_accept_each_kind_over_its_chart():
+    # Forms, connections and sections over the document's chart; splittings
+    # and transitions over its base.
+    document = Document(_bundle(), (
+        _form_over(_bundle()),
+        DocumentObject("connection", "G", Connection(_bundle(), {("u", "z3"): u * z1})),
+        DocumentObject("splitting", "B", Splitting(_chart(), {("z1", "z3"): z2})),
+        DocumentObject("transition", "t", DeclaredTransition(_map(), (u * z1,))),
+        _object(),
+    ))
+    assert fc.parse_document(fc.print_document(document)) == document
+
+
 @pytest.fixture(scope="module")
 def parsed():
     document = fc.parse_document(SAMPLE.read_text())
