@@ -161,7 +161,7 @@ def _run_check(document: Document, names) -> list[CheckResult]:
         results.append(
             CheckResult(f"transition.{obj.name}.adapted", _status(adapted))
         )
-        if transition.fibre_components is not None and document.bundle is not None:
+        if transition.fibre_components is not None:
             foliated = check_foliated_bundle_transition(
                 transition.fibre_components, document.bundle
             )

@@ -36,14 +36,16 @@ Directive items of known single arity (`dim`, `leaf`, `degree`) consume one
 value; list directives (`coords`, `fibre`) consume values greedily, so they
 belong last in their block.
 
-A term is built without ring operations on its numbers and names.  Number
-factors fold into one integer numerator and denominator, identifier factors
-into one {name: exponent} map, and the term becomes a single monomial with a
-single coefficient; only parenthesised factors are raised and multiplied as
-expressions.  This works because negation sits inside `^`: `-x^n` reads as
-`(-x)^n`, so a run of minus signs before a factor is just the sign
-(-1)^(minus signs * n) of the whole term, and `-z1^2` is `z1^2`.  A `^0`
-factor is 1, whatever its base (`0^0` included).
+Both readings of a term below share one fold, _fold.  It takes the term's
+number and name factors one at a time, as (base, divisor, power, negations),
+and returns one reduced (monomial, numerator, denominator) entry: number
+factors fold into one integer numerator and denominator, name factors into
+one {name: exponent} map, and no ring operation runs.  Negation sits inside
+`^`: `-x^n` reads as `(-x)^n`, so a run of minus signs before a factor is
+just the sign (-1)^(minus signs * n) of the whole term, and `-z1^2` is
+`z1^2`.  A `^0` factor is 1, whatever its base (`0^0` included).  A group of
+at most one term, such as `(1/2)` or `(-1/3)`, folds like its number and
+name factors; only larger groups are raised and multiplied as expressions.
 
 Canonical sums are read a term at a time.  At nesting depth 0 (an
 assignment's right-hand side, or a standalone expression) whose first token
@@ -51,13 +53,14 @@ is a number, a name or '-', parse_expression first scans the leading run of
 flat terms with one _TERM_RE match per term.  A flat term is an optional '-'
 and up to 32 factors joined by '*', each a number, `a/b` or a name with an
 optional `^n`, and no whitespace inside; spaces or tabs may surround the '+'
-or '-' before it.  Each scanned term is folded by string splitting with
-_term's rules.  The scan stops before the first term that is followed, past
-any whitespace, by '^', '/', '*', '(' or a comment, or that holds a literal
-past the int/str digit limit or a zero denominator, or more factors; the
-tokens then resume after the last scanned term.  A scanned span holds no
-newline and reads to the same value as the token path would, so the token
-path still makes every diagnostic.
+or '-' before it.  Each scanned term's factors are split from its match
+string and folded as above, and the entries are summed in one pass.  The
+scan stops before the first term that is followed, past any whitespace, by
+'^', '/', '*', '(' or a comment, or that holds a literal past the int/str
+digit limit or a zero denominator, or more factors; the tokens then resume
+after the last scanned term.  A scanned span holds no newline and reads to
+the same value as the token path would, so the token path still makes every
+diagnostic.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .charts import (
     AdaptedChart,
@@ -80,7 +83,7 @@ from .charts import (
 )
 from .connections import BundleSection, Connection, LeafwiseConnection
 from .errors import InputError, ParseError
-from .expr import Expression
+from .expr import Expression, _entry_sum, is_identifier
 from .extension import Splitting
 from .forms import ExteriorForm, LeafwiseForm
 
@@ -186,40 +189,40 @@ class RawBlock:
         self.items = items
 
 
-def _monomial_term(numerator: int, denominator: int, exponents: dict[str, int]) -> Expression:
-    if not numerator:
-        return Expression.zero()
-    g = math.gcd(numerator, denominator)
-    return Expression._build({tuple(sorted(exponents.items())): numerator // g}, denominator // g)
-
-
-def _flat_term(body: str, negations: int) -> Expression | None:
-    # _term's fold of a scanned term's factors, or None where _term would
-    # raise: a literal past the int/str digit limit or a zero denominator.
+def _fold(factors: Iterable[tuple]) -> tuple[tuple, int, int]:
+    # One term's number and name factors, each (base, divisor, power,
+    # negations) with base an int or a name, as one reduced (monomial,
+    # numerator, denominator) entry; see the module docstring.  The factors
+    # are read one at a time, so a term of any length folds in bounded space.
     numerator = denominator = 1
     exponents: dict[str, int] = {}
-    for factor in body.split("*"):
-        base, _, power = factor.partition("^")
-        try:
-            power = int(power) if power else 1
-            if base[0] > "9":  # a name: letters and '_' sort after digits
-                if power:
-                    exponents[base] = exponents.get(base, 0) + power
-            else:
-                value, _, divisor = base.partition("/")
-                value = int(value)
-                divisor = int(divisor) if divisor else 1
-                if not divisor:
-                    return None
-                if power:
-                    numerator *= value**power
-                    denominator *= divisor**power
-        except ValueError:
-            return None
+    for base, divisor, power, negations in factors:
         if negations & power & 1:
             numerator = -numerator
+        if isinstance(base, int):
+            numerator *= base**power
+            denominator *= divisor**power
+        elif power:
+            exponents[base] = exponents.get(base, 0) + power
+    g = math.gcd(numerator, denominator)
+    return tuple(sorted(exponents.items())), numerator // g, denominator // g
+
+
+def _scanned_factors(body: str, negations: int) -> Iterator[tuple]:
+    # A scanned term's factors for _fold.  ValueError where the token path
+    # would raise: a literal past the int/str digit limit or a zero
+    # denominator.
+    for factor in body.split("*"):
+        base, _, power = factor.partition("^")
+        if base[0] > "9":  # a name: letters and '_' sort after digits
+            divisor = 1
+        else:
+            base, _, divisor = base.partition("/")
+            base, divisor = int(base), int(divisor or 1)
+            if not divisor:
+                raise ValueError(factor)
+        yield base, divisor, int(power or 1), negations
         negations = 0
-    return _monomial_term(numerator, denominator, exponents)
 
 
 class _Parser:
@@ -268,54 +271,66 @@ class _Parser:
         # operator would copy the partial sum each time, which is quadratic.
         added, subtracted = [], []
         if self.depth == 0 and self.following is None and self.token.kind in _SCANNED:
-            self._scan_terms(added, subtracted)
+            self._scan_terms(added)
         if not added:
             added.append(self._term())
         while self.token.kind in ("+", "-"):
             op = self.advance()
             (added if op.kind == "+" else subtracted).append(self._term())
+        if len(added) == 1 and not subtracted:
+            return added[0]  # a term or a scanned sum is canonical already
         return Expression.sum(added, subtracted)
 
-    def _scan_terms(self, added: list, subtracted: list):
-        # The leading run of flat terms, one _TERM_RE match each (see the
-        # module docstring); the tokens then resume after the last of them.
+    def _scan_terms(self, added: list):
+        # The sum of the leading run of flat terms, one _TERM_RE match and
+        # one _fold entry each (see the module docstring), goes to added;
+        # the tokens then resume after the last of them.
         token = self.token
-        text, pos, end = self.text, token.offset, None
+        text, pos = self.text, token.offset
+        entries = []
         while match := _TERM_RE.match(text, pos):
             op, sign, body = match.groups()
-            if end is None:  # the first term: its operator is a leading '-'
-                negations, target = len(op) + len(sign), added
-            elif op:
-                negations, target = len(sign), added if op == "+" else subtracted
-            else:
+            negations = len(sign)
+            if not entries:  # the first term: its operator is a leading '-'
+                negations, op = negations + len(op), "+"
+            elif not op:
                 break
-            term = _flat_term(body, negations)
-            if term is None:
+            try:
+                monomial, numerator, denominator = _fold(_scanned_factors(body, negations))
+            except ValueError:
                 break
-            target.append(term)
-            pos = end = match.end()
-        if end is not None:
+            entries.append((monomial, numerator if op == "+" else -numerator, denominator))
+            pos = match.end()
+        if entries:
+            added.append(_entry_sum(entries))
             line_start = token.offset - token.column + 1
-            self.tokens = _tokenize(text, end, token.line, line_start)
+            self.tokens = _tokenize(text, pos, token.line, line_start)
             self.token = next(self.tokens)
 
     def _term(self) -> Expression:
-        # Folds number and name factors into one coefficient and one monomial
-        # (see the module docstring); only groups are ring products.
-        numerator = denominator = 1
-        exponents: dict[str, int] = {}
+        # One _fold entry for the number and name factors (see the module
+        # docstring), times the groups of two or more terms.
         groups = []
+        monomial, numerator, denominator = _fold(self._factors(groups))
+        term = Expression._build({monomial: numerator} if numerator else {}, denominator)
+        for group in groups if numerator else ():
+            term = term * group
+        return term
+
+    def _factors(self, groups: list) -> Iterator[tuple]:
+        # The term's factors for _fold, as they are read.  A group of at most
+        # one term yields its number and name factors; a larger one goes to
+        # groups, raised to its power, and yields only its sign.
         while True:
             negations = 0
             while self.token.kind == "-":
                 self.advance()
                 negations += 1
             token = self.token
-            kind = token.kind
+            kind, base, divisor = token.kind, token.text, 1
             if kind == "number":
-                value = _integer(token)
+                base = _integer(token)
                 self.advance()
-                divisor = 1
                 if self.token.kind == "/":
                     self.advance()
                     divisor = _integer(self.current("number", "a positive denominator"))
@@ -329,7 +344,7 @@ class _Parser:
                     self.error("expression is nested too deeply")
                 self.depth += 1
                 self.advance()
-                value = self.parse_expression()
+                group = self.parse_expression()
                 self.expect(")", "')'")
                 self.depth -= 1
             else:
@@ -340,24 +355,20 @@ class _Parser:
                 self.advance()
                 power = _integer(self.current("number", "a natural number exponent"))
                 self.advance()
-            if power:
-                if negations & power & 1:
-                    numerator = -numerator
-                if kind == "number":
-                    numerator *= value**power
-                    denominator *= divisor**power
-                elif kind == "ident":
-                    exponents[token.text] = exponents.get(token.text, 0) + power
-                else:
-                    groups.append(value if power == 1 else value**power)
+            if kind != "(":
+                yield base, divisor, power, negations
+            elif len(group._coeffs) > 1:
+                if power:
+                    groups.append(group if power == 1 else group**power)
+                yield 1, 1, power, negations
+            else:
+                # Zero or one term; the zero group folds as the number 0.
+                (monomial, base), = group._coeffs.items() or (((), 0),)
+                yield base, group._den, power, negations
+                yield from ((name, 1, exponent * power, 0) for name, exponent in monomial)
             if self.token.kind != "*":
                 break
             self.advance()
-        term = _monomial_term(numerator, denominator, exponents)
-        if numerator:
-            for group in groups:
-                term = term * group
-        return term
 
     # -- document grammar ------------------------------------------------------
 
@@ -438,6 +449,8 @@ class DeclaredTransition(_Record):
             raise InputError("declared transition needs a TransitionMap base map")
         if fibre_components is not None:
             fibre_components = tuple(fibre_components)
+            if not all(isinstance(component, Expression) for component in fibre_components):
+                raise InputError("fibre transition components must be expressions")
         _set(self, "base_map", base_map)
         _set(self, "fibre_components", fibre_components)
 
@@ -448,6 +461,8 @@ class DocumentObject(_Record):
     def __init__(self, kind: str, name: str, value: object):
         if kind not in _OBJECT_KINDS:
             raise InputError(f"unknown object kind {kind!r}")
+        if not is_identifier(name):
+            raise InputError(f"invalid object name {name!r}")
         value_type = _OBJECT_KINDS[kind][0] or DeclaredTransition
         if not isinstance(value, value_type):
             raise InputError(f"a {kind} object needs a {value_type.__name__} value")
@@ -468,8 +483,11 @@ class Document(_Record):
         if not all(isinstance(obj, DocumentObject) for obj in objects):
             raise InputError("document objects must be DocumentObjects")
         # What parse_document would build from the printed text: distinct
-        # names, and each object over the chart its block kind is built on.
+        # names, each object over the chart its block kind is built on, and
+        # fibre transition components only over a bundle, one per fibre
+        # coordinate.
         base = base_chart(chart)
+        fibres = chart.fibre_dim if isinstance(chart, BundleChart) else None
         names = set()
         for obj in objects:
             if obj.name in names:
@@ -477,6 +495,18 @@ class Document(_Record):
             names.add(obj.name)
             if obj.kind == "transition":
                 over, expected = obj.value.base_map.target, base
+                given = obj.value.fibre_components
+                if given is not None:
+                    if fibres is None:
+                        raise InputError(
+                            f"transition {obj.name!r} has fibre components, but the "
+                            "document has no bundle"
+                        )
+                    if len(given) != fibres:
+                        raise InputError(
+                            f"transition {obj.name!r} needs {fibres} fibre components, "
+                            f"got {len(given)}"
+                        )
             else:
                 over = obj.value.chart
                 expected = base if obj.kind == "splitting" else chart
@@ -723,10 +753,11 @@ def _transition_lines(name: str, transition: DeclaredTransition, chart: Chart) -
     for coord, component in zip(base.coords, transition.base_map.components):
         if component != Expression.variable(coord):
             lines.append(f"{name}[{coord}] = {component}")
-    if transition.fibre_components is not None and isinstance(chart, BundleChart):
+    # Every fibre component, identity or not, so that the parsed transition
+    # keeps them (the document holds one per fibre coordinate).
+    if transition.fibre_components is not None:
         for coord, component in zip(chart.fibre_coords, transition.fibre_components):
-            if component != Expression.variable(coord):
-                lines.append(f"{name}[{coord}] = {component}")
+            lines.append(f"{name}[{coord}] = {component}")
     return lines
 
 

@@ -269,6 +269,20 @@ def _common_denominator(dens: Iterable[int]) -> tuple[int, int]:
     return den, bound
 
 
+def _entry_sum(entries: Sequence[tuple[Monomial, int, int]]) -> "Expression":
+    # The sum of (monomial, numerator, denominator) entries, each numerator
+    # coprime to its positive denominator (so a zero is over 1), in one pass
+    # over the lcm of the denominators, where Henrici's bound holds even
+    # when monomials repeat.
+    den, bound = _common_denominator([d for _, _, d in entries])
+    acc: dict[Monomial, int] = {}
+    for key, num, d in entries:
+        acc[key] = acc.get(key, 0) + num * (den // d)
+    if 0 in acc.values():
+        acc = {m: c for m, c in acc.items() if c}
+    return _reduced(acc, den, bound)
+
+
 def _linear(parts: Sequence[tuple["Expression", bool]]) -> "Expression":
     # The sum of the parts, each negated where its flag is set, over the lcm
     # of their denominators.  Henrici's bound on the factor left shared with
@@ -310,13 +324,7 @@ class Expression:
             if len({v for v, _ in key}) != len(key):
                 raise InputError("monomial repeats a variable")
             entries.append((key, num, den))
-        den, bound = _common_denominator([d for _, _, d in entries])
-        acc: dict[Monomial, int] = {}
-        for key, num, d in entries:
-            acc[key] = acc.get(key, 0) + num * (den // d)
-        if 0 in acc.values():
-            acc = {m: c for m, c in acc.items() if c}
-        total = _reduced(acc, den, bound)
+        total = _entry_sum(entries)
         self._coeffs, self._den = total._coeffs, total._den
 
     @staticmethod

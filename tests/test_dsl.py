@@ -16,6 +16,7 @@ from folicalc import Expression, dsl, parse_document, print_document
 
 import faults
 import randgen
+from test_expr import _assert_canonical
 
 SAMPLES = sorted((Path(__file__).resolve().parent.parent / "samples").glob("*.fol"))
 
@@ -403,6 +404,35 @@ def test_scanner_agrees_with_the_token_path_on_expressions(monkeypatch):
         text = rng.choice(_LEADS) + _random_expression(rng) + rng.choice(_TAILS)
         scanned, tokens = _both_paths(monkeypatch, fc.parse_expression, text)
         assert scanned == tokens, text
+
+
+# Unreduced literals, zero terms and one-term groups, with their readings.
+_UNREDUCED = {
+    "2/4*z1 + 6/8*z2": "1/2*z1 + 3/4*z2",
+    "0*z1 - 0/3": "0",
+    "(1/2)*(2/3)*z1": "1/3*z1",
+    "-(-1/2)^3*z1": "1/8*z1",
+    "(0)*z1 + (z1)^0": "1",
+}
+
+
+def test_parsed_sums_are_stored_canonically_on_both_paths(monkeypatch):
+    # Scanned terms are summed as entries, not through Expression.sum, so ==
+    # between the two paths does not show the stored layout: each path's
+    # result is checked on its own.
+    rng = random.Random(2012)
+    texts = list(_UNREDUCED) + [_random_expression(rng) for _ in range(1500)]
+    checked = 0
+    for text in texts:
+        scanned, tokens = _both_paths(monkeypatch, fc.parse_expression, text)
+        assert scanned == tokens, text
+        if isinstance(scanned, Expression):
+            _assert_canonical(scanned)
+            _assert_canonical(tokens)
+            checked += 1
+        if text in _UNREDUCED:
+            assert str(scanned) == _UNREDUCED[text]
+    assert checked > 400
 
 
 def _mutations(rng, text):

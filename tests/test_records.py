@@ -292,7 +292,19 @@ def test_list_inputs_become_tuples():
         (lambda: Report("check", (z1,)), "report checks must be CheckResults"),
         (lambda: DeclaredTransition(None), "declared transition needs a TransitionMap base map"),
         (lambda: DeclaredTransition(_chart(), (z1,)), "declared transition needs a TransitionMap base map"),
+        (
+            lambda: DeclaredTransition(_map(), ("notexpr",)),
+            "fibre transition components must be expressions",
+        ),
+        (lambda: DeclaredTransition(_map(), (z1, 2)), "fibre transition components must be expressions"),
         (lambda: DocumentObject("thing", "w", z1), "unknown object kind 'thing'"),
+        # Printed, a form named "1w" reparsed to "7:6: expected '{', found '1'".
+        (
+            lambda: DocumentObject("form", "1w", LeafwiseForm(_chart(), 0, {(): z1})),
+            "invalid object name '1w'",
+        ),
+        (lambda: DocumentObject("section", "s t", BundleSection(_bundle(), (z1,))), "invalid object name 's t'"),
+        (lambda: DocumentObject("section", None, BundleSection(_bundle(), (z1,))), "invalid object name None"),
         (lambda: DocumentObject("form", "w", z1), "a form object needs a LeafwiseForm value"),
         (
             lambda: DocumentObject("form", "w", ExteriorForm(_chart(), 0)),
@@ -353,6 +365,25 @@ def _form_over(chart, name="w"):
             )),
             "transition 't' is not over the document's chart",
         ),
+        # Printed, these two fibre parts were dropped or cut short by zip.
+        (
+            lambda: Document(_chart(), (
+                DocumentObject("transition", "t", DeclaredTransition(_map(), (z1,))),
+            )),
+            "transition 't' has fibre components, but the document has no bundle",
+        ),
+        (
+            lambda: Document(_bundle(), (
+                DocumentObject("transition", "t", DeclaredTransition(_map(), (u, z1))),
+            )),
+            "transition 't' needs 1 fibre components, got 2",
+        ),
+        (
+            lambda: Document(BundleChart(_chart(), ("u", "v")), (
+                DocumentObject("transition", "t", DeclaredTransition(_map(), (u,))),
+            )),
+            "transition 't' needs 2 fibre components, got 1",
+        ),
     ],
 )
 def test_documents_hold_what_their_text_parses_back_to(build, message):
@@ -371,6 +402,26 @@ def test_documents_accept_each_kind_over_its_chart():
         _object(),
     ))
     assert fc.parse_document(fc.print_document(document)) == document
+
+
+def test_identity_fibre_components_print_and_parse_back():
+    # `t[u] = u` parses to fibre components (u, v): each is printed, so the
+    # text reads back to the same transition, not to one without them.
+    text = (
+        "manifold { dim 3 leaf 2 coords z1 z2 z3 }\nbundle { fibre u v }\n"
+        "transition t { t[u] = u }\n"
+    )
+    document = fc.parse_document(text)
+    transition = document.lookup("t").value
+    assert transition.fibre_components == (u, Expression.variable("v"))
+    printed = fc.print_document(document)
+    assert printed.endswith("transition t {\n  t[u] = u\n  t[v] = v\n}\n")
+    assert fc.parse_document(printed) == document
+    assert fc.print_document(fc.parse_document(printed)) == printed
+    identity = Document(_bundle(), (
+        DocumentObject("transition", "t", DeclaredTransition(TransitionMap.identity(_chart()), (u,))),
+    ))
+    assert fc.parse_document(fc.print_document(identity)) == identity
 
 
 @pytest.fixture(scope="module")
