@@ -43,20 +43,20 @@ factors fold into one integer numerator and denominator, name factors into
 one {name: exponent} map, and no ring operation runs.  Negation sits inside
 `^`: `-x^n` reads as `(-x)^n`, so a run of minus signs before a factor is
 just the sign (-1)^(minus signs * n) of the whole term, and `-z1^2` is
-`z1^2`.  A `^0` factor is 1, whatever its base (`0^0` included).  A group of
-at most one term, such as `(1/2)` or `(-1/3)`, folds like its number and
-name factors; only larger groups are raised and multiplied as expressions.
+`z1^2`.  A `^0` factor is 1, whatever its base (`0^0` included).  A group
+is always an expression, raised to its power and multiplied in.
 
 Canonical sums are read a term at a time.  At nesting depth 0 (an
 assignment's right-hand side, or a standalone expression) whose first token
-is a number, a name or '-', parse_expression first scans the leading run of
-flat terms with one _TERM_RE match per term.  A flat term is an optional '-'
-and up to 32 factors joined by '*', each a number, `a/b` or a name with an
-optional `^n`, and no whitespace inside; spaces or tabs may surround the '+'
-or '-' before it.  Each scanned term's factors are split from its match
-string and folded as above, and the entries are summed in one pass.  The
-scan stops before the first term that is followed, past any whitespace, by
-'^', '/', '*', '(' or a comment, or that holds a literal past the int/str
+is a number, a name, '-' or '(', parse_expression first scans the leading
+run of flat terms with one _TERM_RE match per term.  A flat term is an
+optional '-' and up to 32 factors joined by '*', each a number, `a/b`,
+`(a/b)`, `(-a/b)` or a name with an optional `^n`, and no whitespace inside;
+spaces or tabs may surround the '+' or '-' before it.  Each scanned term's
+factors are split from its match string and folded as above, a parenthesised
+number as a number with its sign, and the entries are summed in one pass.
+The scan stops before the first term that is followed, past any whitespace,
+by '^', '/', '*', '(' or a comment, or that holds a literal past the int/str
 digit limit or a zero denominator, or more factors; the tokens then resume
 after the last scanned term.  A scanned span holds no newline and reads to
 the same value as the token path would, so the token path still makes every
@@ -101,12 +101,13 @@ _TOKEN_RE = re.compile(
 )
 
 # One flat term at depth 0, the operator before it included: a run of up to
-# 32 number, a/b or name factors, each with an optional ^n, joined by '*'.
-# The guards after a factor keep a failed match from backtracking into a
-# shorter name or number, and the lookahead makes sure that no ^, /, *, (
-# or comment follows, past any whitespace, that the token path would read
-# as part of the term.
-_FACTOR = r"(?:[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*)(?:\^[0-9]+)?(?![A-Za-z0-9_])"
+# 32 number, a/b, (a/b), (-a/b) or name factors, each with an optional ^n,
+# joined by '*'.  The guards after a factor keep a failed match from
+# backtracking into a shorter name or number, and the lookahead makes sure
+# that no ^, /, *, ( or comment follows, past any whitespace, that the token
+# path would read as part of the term.
+_NUMBER = r"[0-9]+(?:/[0-9]+)?"
+_FACTOR = rf"(?:{_NUMBER}|\(-?{_NUMBER}\)|[A-Za-z_][A-Za-z0-9_]*)(?:\^[0-9]+)?(?![A-Za-z0-9_])"
 _TERM_RE = re.compile(
     rf"[ \t]*([+-]?)[ \t]*(-?)({_FACTOR}(?:\*{_FACTOR}){{0,31}})"
     r"(?=[ \t\r\n]*(?:[^*^/(# \t\r\n]|\Z))"
@@ -120,7 +121,7 @@ Token = namedtuple("Token", ("kind", "text", "line", "column", "offset"))
 _new_token = tuple.__new__
 
 # The kinds of first token that the term scanner may start at.
-_SCANNED = ("number", "ident", "-")
+_SCANNED = ("number", "ident", "-", "(")
 
 
 def _tokenize(text: str, pos: int = 0, line: int = 1, line_start: int = 0) -> Iterator[Token]:
@@ -214,10 +215,10 @@ def _scanned_factors(body: str, negations: int) -> Iterator[tuple]:
     # denominator.
     for factor in body.split("*"):
         base, _, power = factor.partition("^")
-        if base[0] > "9":  # a name: letters and '_' sort after digits
+        if base[0] > "9":  # a name: letters and '_' sort after digits and '('
             divisor = 1
         else:
-            base, _, divisor = base.partition("/")
+            base, _, divisor = base.strip("()").partition("/")
             base, divisor = int(base), int(divisor or 1)
             if not divisor:
                 raise ValueError(factor)
@@ -309,7 +310,7 @@ class _Parser:
 
     def _term(self) -> Expression:
         # One _fold entry for the number and name factors (see the module
-        # docstring), times the groups of two or more terms.
+        # docstring), times the groups.
         groups = []
         monomial, numerator, denominator = _fold(self._factors(groups))
         term = Expression._build({monomial: numerator} if numerator else {}, denominator)
@@ -318,8 +319,7 @@ class _Parser:
         return term
 
     def _factors(self, groups: list) -> Iterator[tuple]:
-        # The term's factors for _fold, as they are read.  A group of at most
-        # one term yields its number and name factors; a larger one goes to
+        # The term's factors for _fold, as they are read.  A group goes to
         # groups, raised to its power, and yields only its sign.
         while True:
             negations = 0
@@ -355,17 +355,11 @@ class _Parser:
                 self.advance()
                 power = _integer(self.current("number", "a natural number exponent"))
                 self.advance()
-            if kind != "(":
-                yield base, divisor, power, negations
-            elif len(group._coeffs) > 1:
+            if kind == "(":
                 if power:
                     groups.append(group if power == 1 else group**power)
-                yield 1, 1, power, negations
-            else:
-                # Zero or one term; the zero group folds as the number 0.
-                (monomial, base), = group._coeffs.items() or (((), 0),)
-                yield base, group._den, power, negations
-                yield from ((name, 1, exponent * power, 0) for name, exponent in monomial)
+                base = 1
+            yield base, divisor, power, negations
             if self.token.kind != "*":
                 break
             self.advance()
@@ -485,7 +479,8 @@ class Document(_Record):
         # What parse_document would build from the printed text: distinct
         # names, each object over the chart its block kind is built on, and
         # fibre transition components only over a bundle, one per fibre
-        # coordinate.
+        # coordinate, with every transition component over the variables
+        # that _transition_entries allows.
         base = base_chart(chart)
         fibres = chart.fibre_dim if isinstance(chart, BundleChart) else None
         names = set()
@@ -495,6 +490,7 @@ class Document(_Record):
             names.add(obj.name)
             if obj.kind == "transition":
                 over, expected = obj.value.base_map.target, base
+                components = dict(zip(base.coords, obj.value.base_map.components))
                 given = obj.value.fibre_components
                 if given is not None:
                     if fibres is None:
@@ -507,11 +503,17 @@ class Document(_Record):
                             f"transition {obj.name!r} needs {fibres} fibre components, "
                             f"got {len(given)}"
                         )
+                    components.update(zip(chart.fibre_coords, given))
             else:
                 over = obj.value.chart
                 expected = base if obj.kind == "splitting" else chart
             if over != expected:
                 raise InputError(f"{obj.kind} {obj.name!r} is not over the document's chart")
+            if obj.kind == "transition":
+                try:
+                    _transition_entries(chart, components)
+                except InputError as error:
+                    raise InputError(f"transition {obj.name!r}: {error}") from None
         _set(self, "chart", chart)
         _set(self, "objects", objects)
 
@@ -686,33 +688,42 @@ def _located(assigns: dict, build, *args):
 def _build_object(block: RawBlock, name: str, kind: str, chart: Chart):
     object_type, count, usage = _OBJECT_KINDS[kind]
     assigns, degree = _shape(block, name, count, usage)
-    if object_type is None:
-        return _build_transition(assigns, chart)
     if count is None:
         if degree is None:
             degree = len(next(iter(assigns), ()))
         return _located(assigns, object_type, chart, degree)
     if count == 1:
         assigns = {index: assign for (index,), assign in assigns.items()}
+    if object_type is None:
+        return _build_transition(assigns, chart)
     if object_type is Splitting:
         chart = base_chart(chart)
     return _located(assigns, object_type, chart)
 
 
-def _build_transition(assigns: dict, chart: Chart) -> DeclaredTransition:
-    # Transitions have no validating library type: each assignment is
-    # checked as one entry on the axis its index names, and a component not
-    # assigned stays the identity.
+def _transition_entries(chart: Chart, components: dict):
+    # The one rule for transition components, keyed by coordinate name: a
+    # base component may mention base coordinates only, a fibre component
+    # fibre coordinates too.  Each is checked as one _checked_entries entry
+    # on the axis its name is on, so the first bad one raises there.
     base = base_chart(chart)
     fibres = chart.fibre_coords if isinstance(chart, BundleChart) else ()
-    given = {}
-    for (coord,), assign in assigns.items():
+    for coord, component in components.items():
         if coord in fibres:
             checked = ("fibre",), allowed_variables(chart), "a fibre transition component"
         else:
             checked = ("coordinate",), frozenset(base.coords), "a base transition component"
-        _located({coord: assign}, _checked_entries, chart, *checked)
-        given[coord] = assign.expr
+        _checked_entries(chart, *checked, {coord: component})
+
+
+def _build_transition(assigns: dict, chart: Chart) -> DeclaredTransition:
+    # Transitions have no validating library type: the assignments, keyed
+    # by coordinate name, are checked by _transition_entries, and a
+    # component not assigned stays the identity.
+    _located(assigns, _transition_entries, chart)
+    given = {coord: assign.expr for coord, assign in assigns.items()}
+    base = base_chart(chart)
+    fibres = chart.fibre_coords if isinstance(chart, BundleChart) else ()
     components = tuple(given.get(c, Expression.variable(c)) for c in base.coords)
     fibre_part = None
     if any(c in given for c in fibres):

@@ -459,7 +459,7 @@ class Expression:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Expression":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not _is_int(exponent) or exponent < 0:
             raise InputError("exponent must be a non-negative integer")
         result = None
         base = self

@@ -366,7 +366,7 @@ def _both_paths(monkeypatch, parse, text):
 
 
 _FACTORS = ("0", "1", "2", "007", "12", "0/5", "1/0", "3/4", "10/6", "z1", "z2", "u",
-            "_a1", "x9")
+            "_a1", "x9", "(-1/2)", "(3/4)", "(0)", "(-0/5)", "(-7)", "(1/0)")
 _LONG = ("9" * 4300, "1" * 4301)  # at and past the int/str digit limit
 _POWERS = ("", "", "", "^0", "^1", "^2", "^3", "^007", " ^2", "^ 2", "^" + _LONG[1])
 _SIGNS = ("", "", "", "", "-", "--", "- ", "-\t")
@@ -492,10 +492,36 @@ def test_scanner_reads_canonical_terms_without_the_token_path(monkeypatch):
         "-1*z1^2 - 3*z2^2 + 1/2*z1 + z3"
     )
     assert calls == []
+    # Raw coefficients as bench.gen.raw_text writes them: parenthesised
+    # rationals and negative integers are number factors.
+    assert str(fc.parse_expression("(-1/2)*z1 + (2/3)*u*z1*z2 + (-3)*z2^2 + 5*u")) == (
+        "2/3*u*z1*z2 - 3*z2^2 + 5*u - 1/2*z1"
+    )
+    assert calls == []
     # A parenthesised term, the terms inside it and every term after it go
     # through _term.
     fc.parse_expression("z1 + (z2 + 1) - z3")
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("( -1/2)*z1", "-1/2*z1"),
+        ("((1/2))*z1", "1/2*z1"),
+        ("(1/2) ^2*z1", "1/4*z1"),
+        ("(1/2)*(z1 + 1)", "1/2*z1 + 1/2"),
+    ],
+)
+def test_groups_the_scanner_leaves_to_the_token_path(monkeypatch, text, expected):
+    # Space inside or after the parentheses, a nested group or a group of
+    # more than a number is not a scanned factor.
+    calls = []
+    term = dsl._Parser._term
+    monkeypatch.setattr(dsl._Parser, "_term", lambda self: calls.append(1) or term(self))
+    scanned, tokens = _both_paths(monkeypatch, fc.parse_expression, text)
+    assert calls and scanned == tokens
+    assert str(scanned) == expected
 
 
 @pytest.mark.parametrize(
@@ -510,6 +536,10 @@ def test_scanner_reads_canonical_terms_without_the_token_path(monkeypatch):
         ("--z1^3 + 2", "z1^3 + 2"),
         ("-z1^0*z2 + 0^0 + 007*0/5", "z2 + 1"),
         ("z1" + "*z1" * 40, "z1^41"),
+        # A parenthesised number is a number factor, its sign inside '^'.
+        ("-(-1/2)^2", "1/4"),
+        ("(-1/2)^3*z1", "-1/8*z1"),
+        ("(-1/2)^0", "1"),
     ],
 )
 def test_scanned_readings(text, expected):

@@ -209,6 +209,10 @@ def test_round_trip_seeded():
 def test_pow_rejects_negative():
     with pytest.raises(fc.InputError):
         z1 ** (-1)
+    # bool is an int subclass, but no entry point takes it as a number.
+    for exponent in (True, False):
+        with pytest.raises(fc.InputError):
+            z1 ** exponent
 
 
 def test_variable_name_validation():

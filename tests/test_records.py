@@ -384,11 +384,51 @@ def _form_over(chart, name="w"):
             )),
             "transition 't' needs 2 fibre components, got 1",
         ),
+        # Printed, these two reparsed to "12:11: variable 'u' is not available
+        # in a base transition component" and "13:10: variable 'w' is not
+        # available in a fibre transition component".
+        (
+            lambda: Document(_bundle(), (
+                DocumentObject("transition", "t", DeclaredTransition(
+                    TransitionMap(_chart(), (z1, z2, u)))),
+            )),
+            "transition 't': variable 'u' is not available in a base transition component",
+        ),
+        (
+            lambda: Document(_bundle(), (
+                DocumentObject("transition", "t", DeclaredTransition(
+                    _map(), (Expression.variable("w"),))),
+            )),
+            "transition 't': variable 'w' is not available in a fibre transition component",
+        ),
     ],
 )
 def test_documents_hold_what_their_text_parses_back_to(build, message):
     with pytest.raises(fc.InputError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "assignment, components, fibre",
+    [
+        ("t[z3] = u", (z1, z2, u), u),
+        ("t[z1] = z1*u^2", (z1 * u**2, z2, z3), u),
+        ("t[u] = w", (z1, z2, z3), Expression.variable("w")),
+    ],
+)
+def test_documents_and_the_parser_share_the_transition_rule(assignment, components, fibre):
+    # Document and parse_document check transition components by one rule,
+    # and word the fault alike.
+    text = (
+        "manifold { dim 3 leaf 2 coords z1 z2 z3 }\nbundle { fibre u }\n"
+        f"transition t {{ {assignment} }}\n"
+    )
+    with pytest.raises(fc.ParseError) as parsed:
+        fc.parse_document(text)
+    transition = DeclaredTransition(TransitionMap(_chart(), components), (fibre,))
+    with pytest.raises(fc.InputError) as built:
+        Document(_bundle(), (DocumentObject("transition", "t", transition),))
+    assert str(built.value) == f"transition 't': {parsed.value.message}"
 
 
 def test_documents_accept_each_kind_over_its_chart():
