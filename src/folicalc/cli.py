@@ -47,10 +47,7 @@ def main(argv=None) -> int:
     except ParseError as error:
         print(f"{args.file}:{error}", file=sys.stderr)
         return 2
-    except FolicalcError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
+    except (FolicalcError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else report.to_text())

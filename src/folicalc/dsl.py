@@ -57,10 +57,11 @@ factors are split from its match string and folded as above, a parenthesised
 number as a number with its sign, and the entries are summed in one pass.
 The scan stops before the first term that is followed, past any whitespace,
 by '^', '/', '*', '(' or a comment, or that holds a literal past the int/str
-digit limit or a zero denominator, or more factors; the tokens then resume
-after the last scanned term.  A scanned span holds no newline and reads to
-the same value as the token path would, so the token path still makes every
-diagnostic.
+digit limit or a zero denominator, or more factors; the next token is then
+read at the offset after the last scanned term.  A scanned span reads to the
+same value as the token path would, so the token path still makes every
+diagnostic.  A diagnostic's line and column are counted from the text when
+the error is raised.
 """
 
 from __future__ import annotations
@@ -89,13 +90,19 @@ from .forms import ExteriorForm, LeafwiseForm
 
 _MAX_NESTING = 64
 
+# The next comment or token after any whitespace.  The last alternative
+# matches the end of the text, so no match backtracks into the whitespace.
+# Comments are read one per match: a repeated group would keep a backtracking
+# entry per comment line, 40 MB for 100,000 lines on CPython 3.11.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<number>[0-9]+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>[{}\[\]()=+\-*^/])
-      | (?P<bad>.)
+    r"""[ \t\r\n]*
+      (?: (?P<comment>\#[^\n]*)
+        | (?P<number>[0-9]+)
+        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<op>[{}\[\]()=+\-*^/])
+        | (?P<bad>.)
+        | (?P<eof>\Z)
+      )
     """,
     re.VERBOSE,
 )
@@ -105,17 +112,18 @@ _TOKEN_RE = re.compile(
 # joined by '*'.  The guards after a factor keep a failed match from
 # backtracking into a shorter name or number, and the lookahead makes sure
 # that no ^, /, *, ( or comment follows, past any whitespace, that the token
-# path would read as part of the term.
+# path would read as part of the term.  Spaces after an operator match only
+# after one, so a failed match backs out of a run of spaces in linear time.
 _NUMBER = r"[0-9]+(?:/[0-9]+)?"
 _FACTOR = rf"(?:{_NUMBER}|\(-?{_NUMBER}\)|[A-Za-z_][A-Za-z0-9_]*)(?:\^[0-9]+)?(?![A-Za-z0-9_])"
 _TERM_RE = re.compile(
-    rf"[ \t]*([+-]?)[ \t]*(-?)({_FACTOR}(?:\*{_FACTOR}){{0,31}})"
+    rf"[ \t]*(?:([+-])[ \t]*)?(-?)({_FACTOR}(?:\*{_FACTOR}){{0,31}})"
     r"(?=[ \t\r\n]*(?:[^*^/(# \t\r\n]|\Z))"
 )
 
 # kind is "number", "ident", "eof", or the operator character itself;
-# offset is the index of the token's first character in the text.
-Token = namedtuple("Token", ("kind", "text", "line", "column", "offset"))
+# offset is the index of the token's first character in source, the text.
+Token = namedtuple("Token", ("kind", "text", "offset", "source"))
 # Builds a Token from one tuple of its fields without the Python-level
 # Token.__new__, at about half the cost per token.
 _new_token = tuple.__new__
@@ -124,30 +132,23 @@ _new_token = tuple.__new__
 _SCANNED = ("number", "ident", "-", "(")
 
 
-def _tokenize(text: str, pos: int = 0, line: int = 1, line_start: int = 0) -> Iterator[Token]:
-    # A generator, so that a syntax error costs only the text before it.
-    # It starts at pos, on the given line, which starts at line_start.
-    for match in _TOKEN_RE.finditer(text, pos):
-        kind = match.lastgroup
-        if kind == "ws":
-            # Only whitespace spans lines: a comment stops before its newline.
-            value = match.group()
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = match.start() + value.rfind("\n") + 1
-        elif kind != "comment":
-            value = match.group()
-            start = match.start()
-            column = start - line_start + 1
-            if kind == "bad":
-                raise ParseError(f"unexpected character {value!r}", line, column)
-            yield _new_token(Token, (value if kind == "op" else kind, value, line, column, start))
-    yield Token("eof", "", line, len(text) - line_start + 1, len(text))
+def _token_at(text: str, pos: int) -> Token:
+    # The token after any whitespace and comments from pos on.
+    match = _TOKEN_RE.match(text, pos)
+    while match.lastgroup == "comment":
+        match = _TOKEN_RE.match(text, match.end())
+    kind = match.lastgroup
+    value = match.group(kind)
+    token = _new_token(Token, (value if kind == "op" else kind, value, match.start(kind), text))
+    if kind == "bad":
+        raise _error_at(token, f"unexpected character {value!r}")
+    return token
 
 
 def _error_at(token: Token, message: str) -> ParseError:
-    return ParseError(message, token.line, token.column)
+    text, offset = token.source, token.offset
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _integer(token: Token) -> int:
@@ -229,27 +230,19 @@ def _scanned_factors(body: str, negations: int) -> Iterator[tuple]:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.token = next(self.tokens)  # the current token, not yet consumed
-        self.following: Token | None = None  # pulled past it by lookahead()
+        self.token = _token_at(text, 0)  # the current token, not yet consumed
         self.depth = 0
 
     def advance(self) -> Token:
         # Consume the current token and read the next one at once, so any
         # check on a token's value must run before its advance().
         token = self.token
-        if self.following is not None:
-            self.token, self.following = self.following, None
-        elif token.kind != "eof":
-            self.token = next(self.tokens)
+        self.token = _token_at(self.text, token.offset + len(token.text))
         return token
 
     def lookahead(self) -> Token:
-        # The token after the current one.
-        if self.following is None:
-            token = self.token
-            self.following = token if token.kind == "eof" else next(self.tokens)
-        return self.following
+        # The token after the current one, read again by the next advance().
+        return _token_at(self.text, self.token.offset + len(self.token.text))
 
     def error(self, message: str, token: Token | None = None):
         raise _error_at(token or self.token, message)
@@ -271,7 +264,7 @@ class _Parser:
         # All terms go into one sum at the end: folding `value + right` per
         # operator would copy the partial sum each time, which is quadratic.
         added, subtracted = [], []
-        if self.depth == 0 and self.following is None and self.token.kind in _SCANNED:
+        if self.depth == 0 and self.token.kind in _SCANNED:
             self._scan_terms(added)
         if not added:
             added.append(self._term())
@@ -285,12 +278,11 @@ class _Parser:
     def _scan_terms(self, added: list):
         # The sum of the leading run of flat terms, one _TERM_RE match and
         # one _fold entry each (see the module docstring), goes to added;
-        # the tokens then resume after the last of them.
-        token = self.token
-        text, pos = self.text, token.offset
+        # the next token is then read after the last of them.
+        text, pos = self.text, self.token.offset
         entries = []
         while match := _TERM_RE.match(text, pos):
-            op, sign, body = match.groups()
+            op, sign, body = match.groups("")
             negations = len(sign)
             if not entries:  # the first term: its operator is a leading '-'
                 negations, op = negations + len(op), "+"
@@ -304,9 +296,7 @@ class _Parser:
             pos = match.end()
         if entries:
             added.append(_entry_sum(entries))
-            line_start = token.offset - token.column + 1
-            self.tokens = _tokenize(text, pos, token.line, line_start)
-            self.token = next(self.tokens)
+            self.token = _token_at(text, pos)
 
     def _term(self) -> Expression:
         # One _fold entry for the number and name factors (see the module

@@ -1,4 +1,5 @@
-"""Seeded random generators for charts, expressions, forms, and connections."""
+"""Seeded random generators for charts, expressions, forms, connections, and
+documents."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import folicalc as fc
-from folicalc.charts import allowed_variables
+from folicalc.charts import allowed_variables, base_chart
 
 
 def rational(rng) -> Fraction:
@@ -101,6 +102,43 @@ def section(rng, chart, coeff_degree=3) -> fc.BundleSection:
         chart,
         [expression(rng, chart.base.coords, coeff_degree) for _ in range(chart.fibre_dim)],
     )
+
+
+def transition(rng, chart, coeff_degree=2) -> fc.DeclaredTransition:
+    # Base components over the base coordinates, some left the identity;
+    # over a bundle, sometimes one fibre component per fibre coordinate.
+    base = base_chart(chart)
+    components = [
+        expression(rng, base.coords, coeff_degree) if rng.random() < 0.5
+        else fc.Expression.variable(coord)
+        for coord in base.coords
+    ]
+    fibre = None
+    if isinstance(chart, fc.BundleChart) and rng.random() < 0.5:
+        variables = sorted(allowed_variables(chart))
+        fibre = [expression(rng, variables, coeff_degree) for _ in chart.fibre_coords]
+    return fc.DeclaredTransition(fc.TransitionMap(base, components), fibre)
+
+
+def document(rng) -> fc.Document:
+    # One object of each block kind the chart takes, in random order: all
+    # seven over a bundle chart, and no connection or section over an
+    # adapted chart.
+    chart = bundle_chart(rng) if rng.random() < 0.5 else adapted_chart(rng)
+    objects = [
+        ("form", "phi", leafwise_form(rng, chart)),
+        ("exterior_form", "sigma", exterior_form(rng, chart)),
+        ("splitting", "B", splitting(rng, base_chart(chart))),
+        ("transition", "t", transition(rng, chart)),
+    ]
+    if isinstance(chart, fc.BundleChart):
+        objects += [
+            ("connection", "Gamma", connection(rng, chart)),
+            ("leafwise_connection", "A", leafwise_connection(rng, chart)),
+            ("section", "s", section(rng, chart)),
+        ]
+    rng.shuffle(objects)
+    return fc.Document(chart, [fc.DocumentObject(*obj) for obj in objects])
 
 
 def point(rng, variables) -> dict[str, Fraction]:

@@ -257,6 +257,74 @@ def test_print_is_idempotent_canonicalization():
         assert print_document(parse_document(printed)) == printed
 
 
+def test_print_parse_fixpoint_on_random_documents():
+    # Every block kind over random adapted and bundle charts: the printed
+    # text parses back to an equal Document and prints again byte for byte.
+    for seed in range(300):
+        document = randgen.document(random.Random(seed))
+        printed = print_document(document)
+        assert parse_document(printed) == document, seed
+        assert print_document(parse_document(printed)) == printed, seed
+
+
+_BREAKS = ("\n", "\r\n", "\n  # c\n")
+
+
+def test_error_positions_are_counted_from_the_text():
+    # A '$' put at a random offset outside a comment of a printed document,
+    # with its line breaks rewritten, is reported at the line and column
+    # counted here by splitting the text before it on "\n".
+    for seed in range(300):
+        rng = random.Random(seed)
+        text = print_document(randgen.document(rng)).replace("\n", _BREAKS[seed % 3])
+        while True:
+            offset = rng.randint(0, len(text))
+            if text.rfind("#", 0, offset) <= text.rfind("\n", 0, offset):
+                break
+        error = err(text[:offset] + "$" + text[offset:])
+        lines = text[:offset].split("\n")
+        assert error.message == "unexpected character '$'", (seed, offset)
+        assert (error.line, error.column) == (len(lines), len(lines[-1]) + 1), (seed, offset)
+
+
+_RUNS = {"spaces": " " * 200_000, "hashes": "#" * 200_000, "comment lines": "# \n" * 70_000}
+
+
+@pytest.mark.parametrize("run", _RUNS.values(), ids=_RUNS.keys())
+def test_long_whitespace_and_comment_runs_parse_in_linear_time(run):
+    # Between blocks, after a term, after an operator and at the end of the
+    # text.  A pattern that backtracks into the run, or tries every split of
+    # it, takes minutes on these.
+    texts = (
+        MINIMAL + run + "\nform w { w = z1 }",
+        MINIMAL + "\nform w { w = z1" + run + "\n}",
+        MINIMAL + "\nform w { w = z1 -" + run + "\nz2 }",
+        MINIMAL + "\n" + run,
+    )
+    for text in texts:
+        start = time.perf_counter()
+        document = parse_document(text)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1, (text[-20:], elapsed)
+        assert document.base.dim == 3
+
+
+def test_error_after_a_long_comment_block_is_on_its_line():
+    # Comments are skipped one at a time, in bounded memory: a pattern that
+    # repeats a group per comment line keeps a backtracking entry for each,
+    # about 40 MB here.
+    text = MINIMAL + "\n" + "# c\n" * 100_000 + "form w { w = $ }"
+    tracemalloc.start()
+    try:
+        error = err(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert error.message == "unexpected character '$'"
+    assert (error.line, error.column) == (100_002, 14)
+    assert peak < 1e6, peak
+
+
 def test_fuzz_smoke_never_crashes():
     rng = random.Random(1234)
     alphabet = "mz123 {}[]()=+-*^/#\n\tabfld"
