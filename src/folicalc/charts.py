@@ -28,7 +28,8 @@ class _Record:
     sections): its fields (two or more) are its __slots__, set once through
     _set.  ==, hash, repr, match and pickling or copying (rebuilt by __init__,
     so checked again) read them; a subclass with __slots__ = () keeps its
-    parent's.  Dict fields (.coefficients, .components) are shared: read-only."""
+    parent's.  Dict fields (.coefficients, .components) are shared; writing to
+    one is undefined (a stored zero breaks is_zero and ==, a bad key copying)."""
 
     __slots__ = ()
 

@@ -19,8 +19,8 @@ Operations inside the package build their results with the unchecked
 `_build`.
 
 Tables and sections are immutable `charts._Record`s.  A table's
-`.coefficients` dict is shared, not copied, so treat it as read-only; it
-also makes a table unhashable.
+`.coefficients` dict is shared, not copied, and writing to it is undefined
+(see `_Record`); it also makes a table unhashable.
 """
 
 from __future__ import annotations
@@ -182,6 +182,16 @@ class BundleSection(_Record):
         return f"<{body}>"
 
 
+def _require_types(operation: str, *operands):
+    # Each (value, type) pair's value is an instance of that type, as the
+    # signature names it; the form operations make the same check.
+    for value, kind in operands:
+        if not isinstance(value, kind):
+            raise ChartMismatchError(
+                f"{operation} needs a {kind.__name__}, not {type(value).__name__}"
+            )
+
+
 def _require_chart(a, b, operation: str):
     if a.chart != b.chart:
         raise ChartMismatchError(f"cannot {operation} over different charts")
@@ -189,6 +199,7 @@ def _require_chart(a, b, operation: str):
 
 def restrict_connection(connection: Connection) -> LeafwiseConnection:
     """Keep the leaf-indexed coefficients, discard the transverse ones."""
+    _require_types("restrict_connection", (connection, Connection))
     cutoff = connection.chart.dim_leaf
     kept = {
         key: expr for key, expr in connection.coefficients.items() if key[1] < cutoff
@@ -196,8 +207,9 @@ def restrict_connection(connection: Connection) -> LeafwiseConnection:
     return LeafwiseConnection._build(connection.chart, kept)
 
 
-def jet_prolongation(section: BundleSection) -> LeafwiseJetPoint:
-    """First leafwise jet of a section: the leaf partials of its components."""
+def _leaf_partials(section: BundleSection) -> dict[tuple[int, int], Expression]:
+    # The nonzero leaf partials of the section's components, keyed
+    # (fibre, leaf): the table of its first leafwise jet.
     chart = section.chart
     table = {}
     for fibre, component in enumerate(section.components):
@@ -205,7 +217,13 @@ def jet_prolongation(section: BundleSection) -> LeafwiseJetPoint:
             derivative = component.partial(name)
             if not derivative.is_zero():
                 table[(fibre, leaf)] = derivative
-    return LeafwiseJetPoint._build(chart, table)
+    return table
+
+
+def jet_prolongation(section: BundleSection) -> LeafwiseJetPoint:
+    """First leafwise jet of a section: the leaf partials of its components."""
+    _require_types("jet_prolongation", (section, BundleSection))
+    return LeafwiseJetPoint._build(section.chart, _leaf_partials(section))
 
 
 def connection_as_jet_section(connection: LeafwiseConnection) -> LeafwiseJetPoint:
@@ -223,9 +241,9 @@ def connection_difference(
     a: LeafwiseConnection, b: LeafwiseConnection
 ) -> VerticalValuedLeafwiseForm:
     """Affine difference a - b, a vertical-valued leafwise one-form."""
+    _require_types("connection_difference", (a, LeafwiseConnection), (b, LeafwiseConnection))
     _require_chart(a, b, "subtract connections")
-    merged = dict(a.coefficients)
-    _add_into(merged, b.coefficients, negate=True)
+    merged = _add_into(dict(a.coefficients), b.coefficients, negate=True)
     return VerticalValuedLeafwiseForm._build(a.chart, merged)
 
 
@@ -233,27 +251,28 @@ def translate_connection(
     a: LeafwiseConnection, shift: VerticalValuedLeafwiseForm
 ) -> LeafwiseConnection:
     """Translate a leafwise connection by a vertical-valued leafwise form."""
+    _require_types(
+        "translate_connection", (a, LeafwiseConnection), (shift, VerticalValuedLeafwiseForm)
+    )
     _require_chart(a, shift, "translate")
-    merged = dict(a.coefficients)
-    _add_into(merged, shift.coefficients)
+    merged = _add_into(dict(a.coefficients), shift.coefficients)
     return LeafwiseConnection._build(a.chart, merged)
 
 
 def covariant_differential(
     a: LeafwiseConnection, section: BundleSection
 ) -> VerticalValuedLeafwiseForm:
-    """Leafwise covariant differential of a section: the leaf partials of the
-    section minus the connection coefficients evaluated along it."""
+    """Leafwise covariant differential of a section, nabla s = j1(s) - Gamma(s):
+    at each (fibre, leaf) slot, the leaf partial of the section's component
+    minus the connection coefficient evaluated along the section, that is
+    with the section's components put in for the fibre variables."""
+    _require_types("covariant_differential", (a, LeafwiseConnection), (section, BundleSection))
     _require_chart(a, section, "differentiate")
-    chart = a.chart
-    bindings = {
-        name: section.components[i] for i, name in enumerate(chart.fibre_coords)
-    }
-    table = {}
-    for fibre, component in enumerate(section.components):
-        for leaf, name in enumerate(chart.base.leaf_coords):
-            coeff = a.coefficients.get((fibre, leaf), Expression.zero())
-            value = component.partial(name) - coeff.substitute(bindings)
-            if not value.is_zero():
-                table[(fibre, leaf)] = value
-    return VerticalValuedLeafwiseForm._build(chart, table)
+    bindings = dict(zip(a.chart.fibre_coords, section.components))
+    along = {}
+    for key, coeff in a.coefficients.items():
+        value = coeff.substitute(bindings)
+        if not value.is_zero():
+            along[key] = value
+    table = _add_into(_leaf_partials(section), along, negate=True)
+    return VerticalValuedLeafwiseForm._build(a.chart, table)

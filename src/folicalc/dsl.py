@@ -164,31 +164,9 @@ def _integer(token: Token) -> int:
 # -- raw syntax ---------------------------------------------------------------
 
 
-class RawAssign:
-    __slots__ = ("key", "indices", "expr", "expr_token")
-
-    def __init__(self, key: Token, indices: list[Token], expr: Expression, expr_token: Token):
-        self.key = key
-        self.indices = indices
-        self.expr = expr
-        self.expr_token = expr_token
-
-
-class RawDirective:
-    __slots__ = ("key", "values")
-
-    def __init__(self, key: Token, values: list[Token]):
-        self.key = key
-        self.values = values
-
-
-class RawBlock:
-    __slots__ = ("kind", "name", "items")
-
-    def __init__(self, kind: Token, name: Token | None, items: list):
-        self.kind = kind
-        self.name = name
-        self.items = items
+RawAssign = namedtuple("RawAssign", ("key", "indices", "expr", "expr_token"))
+RawDirective = namedtuple("RawDirective", ("key", "values"))
+RawBlock = namedtuple("RawBlock", ("kind", "name", "items"))
 
 
 def _fold(factors: Iterable[tuple]) -> tuple[tuple, int, int]:

@@ -239,9 +239,10 @@ def _packed_product(
     }
 
 
-def _add_into(acc: dict, entries: Mapping, negate=False):
-    # acc += entries (or -= with negate), keeping acc free of zero values.
-    # Values are int numerators here, Expressions in the coefficient tables.
+def _add_into(acc: dict, entries: Mapping, negate=False) -> dict:
+    # acc += entries (or -= with negate), keeping acc free of zero values;
+    # returns acc.  Values are int numerators here, Expressions in the
+    # coefficient tables.
     for key, value in entries.items():
         if negate:
             value = -value
@@ -254,6 +255,7 @@ def _add_into(acc: dict, entries: Mapping, negate=False):
                 acc[key] = total
             else:
                 del acc[key]
+    return acc
 
 
 def _common_denominator(dens: Iterable[int]) -> tuple[int, int]:

@@ -17,7 +17,7 @@ soldering form has fibre rows and a column for every base position.
 
 from __future__ import annotations
 
-from .charts import AdaptedChart, BundleChart
+from .charts import AdaptedChart
 from .errors import ChartMismatchError
 from .expr import Expression, _add_into
 from .forms import ExteriorForm
@@ -26,6 +26,7 @@ from .connections import (
     LeafwiseConnection,
     VerticalValuedLeafwiseForm,
     _CoefficientTable,
+    _require_types,
     connection_difference,
     restrict_connection,
 )
@@ -58,33 +59,27 @@ class SolderingForm(_CoefficientTable):
         return ExteriorForm._build(self.chart, 1, self._row(fibre))
 
 
-def _require_base_chart(split: Splitting, chart: BundleChart):
-    if split.chart != chart.base:
-        raise ChartMismatchError("splitting chart does not match the bundle base")
-
-
 def apply_splitting(
     split: Splitting, difference: VerticalValuedLeafwiseForm
 ) -> SolderingForm:
-    """Push a vertical-valued leafwise form through a splitting: the leafwise
-    components carry over, each transverse slot picks up minus the
-    splitting-weighted sum of the leafwise ones."""
+    """Push a vertical-valued leafwise form Q through a splitting B: the
+    soldering form sigma = Q on leaf slots, and on transverse ones
+    sigma[f][t] = -sum over leaves l of B[l][t] * Q[f][l]."""
+    _require_types("apply_splitting", (split, Splitting), (difference, VerticalValuedLeafwiseForm))
     chart = difference.chart
-    _require_base_chart(split, chart)
+    if split.chart != chart.base:
+        raise ChartMismatchError("splitting chart does not match the bundle base")
+    products = {}
+    for (leaf, trans), weight in split.coefficients.items():
+        for fibre in range(chart.fibre_dim):
+            value = difference.coefficients.get((fibre, leaf))
+            if value is not None:
+                products.setdefault((fibre, trans), []).append(weight * value)
     table = dict(difference.coefficients)
-    for fibre in range(chart.fibre_dim):
-        for trans in range(chart.dim_leaf, chart.dim):
-            total = Expression.zero()
-            for leaf in range(chart.dim_leaf):
-                weight = split.coefficients.get((leaf, trans))
-                if weight is None:
-                    continue
-                value = difference.coefficients.get((fibre, leaf))
-                if value is None:
-                    continue
-                total = total - weight * value
-            if not total.is_zero():
-                table[(fibre, trans)] = total
+    for key, terms in products.items():
+        total = Expression.sum((), terms)
+        if not total.is_zero():
+            table[key] = total
     return SolderingForm._build(chart, table)
 
 
@@ -98,16 +93,16 @@ def extend_connection(
     over the transverse coefficients.  Leaf coefficients of the result equal
     the input's verbatim.
     """
+    _require_types("extend_connection", (a, LeafwiseConnection))
     chart = a.chart
     if reference is None:
         reference = Connection(chart)
+    _require_types("extend_connection", (reference, Connection), (split, Splitting))
     if reference.chart != chart:
         raise ChartMismatchError("reference connection lives over a different chart")
-    _require_base_chart(split, chart)
     difference = connection_difference(a, restrict_connection(reference))
     soldering = apply_splitting(split, difference)
-    merged = dict(reference.coefficients)
-    _add_into(merged, soldering.coefficients)
+    merged = _add_into(dict(reference.coefficients), soldering.coefficients)
     return Connection._build(chart, merged)
 
 
@@ -134,6 +129,5 @@ def extension_dependence(
     """
     first = extend_connection(a, reference, split_one)
     second = extend_connection(a, reference, split_two)
-    table = dict(first.coefficients)
-    _add_into(table, second.coefficients, negate=True)
+    table = _add_into(dict(first.coefficients), second.coefficients, negate=True)
     return SolderingForm._build(first.chart, table)

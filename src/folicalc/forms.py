@@ -14,8 +14,8 @@ from differentials and wedges at the top of the complex) but can never have
 components.
 
 Forms are immutable `charts._Record`s that print their document lines
-through `assignment_lines`, as tables do.  Their `.components` dict is
-shared, not copied, so treat it as read-only; it makes a form unhashable.
+through `assignment_lines`, as tables do.  Their shared `.components` dict
+must not be written to (see `_Record`); it makes a form unhashable.
 """
 
 from __future__ import annotations

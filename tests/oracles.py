@@ -3,8 +3,9 @@
 These deliberately take different computational routes: permutation signs by
 brute-force inversion counting, the wedge by the shuffle-sum over index
 splits, expression identities by exact evaluation at random rational
-points, parsed text by ring operations on its parse tree, and the canonical
-term order by sorting exponent vectors.
+points, parsed text by ring operations on its parse tree, the canonical
+term order by sorting exponent vectors, and the covariant differential and
+the soldering form by visiting every index slot of their tables.
 """
 
 from __future__ import annotations
@@ -148,6 +149,61 @@ def dict_substitute(a, bindings) -> dict:
             term = dict_product(term, dict_power(factor, exponent))
         total = dict_sum([total, term])
     return total
+
+
+# -- the bundle-layer tables slot by slot ---------------------------------------
+#
+# Each visits every index slot of its table, empty or not, with the dict
+# helpers above, and returns {key: {monomial: Fraction}} without the slots
+# that come out zero: the dense formulas the sparse walks are checked against.
+
+
+def table_terms(table) -> dict:
+    """A coefficient table as {key: {monomial: Fraction}}."""
+    return {key: dict(expr.terms) for key, expr in table.coefficients.items()}
+
+
+def covariant_differential_by_slots(connection, section) -> dict:
+    """nabla s = j1(s) - Gamma(s) at every (fibre, leaf) slot: the leaf
+    partial of the section's component minus the connection coefficient with
+    the components substituted for the fibre variables.  With the empty
+    connection this is the jet prolongation."""
+    chart = section.chart
+    components = [dict(c.terms) for c in section.components]
+    bindings = dict(zip(chart.fibre_coords, components))
+    out = {}
+    for fibre in range(chart.fibre_dim):
+        for leaf, name in enumerate(chart.base.leaf_coords):
+            coeff = dict(connection.coefficient(fibre, leaf).terms)
+            value = dict_sum(
+                [dict_partial(components[fibre], name)], [dict_substitute(coeff, bindings)]
+            )
+            if value:
+                out[(fibre, leaf)] = value
+    return out
+
+
+def soldering_by_slots(split, difference) -> dict:
+    """The soldering form at every (fibre, base position) slot: Q[f][l] on a
+    leaf slot, -sum over leaves l of B[l][t] * Q[f][l] on a transverse one."""
+    chart = difference.chart
+    out = {}
+    for fibre in range(chart.fibre_dim):
+        for column in range(chart.dim):
+            if column < chart.dim_leaf:
+                value = dict(difference.coefficient(fibre, column).terms)
+            else:
+                products = [
+                    dict_product(
+                        dict(split.coefficient(leaf, column).terms),
+                        dict(difference.coefficient(fibre, leaf).terms),
+                    )
+                    for leaf in range(chart.dim_leaf)
+                ]
+                value = dict_sum([], products)
+            if value:
+                out[(fibre, column)] = value
+    return out
 
 
 def parse_tree_value(tree) -> fc.Expression:

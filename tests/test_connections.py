@@ -25,9 +25,11 @@ from folicalc import (
     translate_connection,
 )
 
+import oracles
 import randgen
 
-CHART = BundleChart(AdaptedChart(("z1", "z2"), ("z3",)), ("u",))
+BASE = AdaptedChart(("z1", "z2"), ("z3",))
+CHART = BundleChart(BASE, ("u",))
 
 z1 = Expression.variable("z1")
 z2 = Expression.variable("z2")
@@ -182,3 +184,56 @@ def test_chart_mismatch_raises():
     other = BundleChart(AdaptedChart(("z1",), ("z3",)), ("u",))
     with pytest.raises(fc.ChartMismatchError):
         connection_difference(LeafwiseConnection(CHART), LeafwiseConnection(other))
+
+
+def _oracle_cases():
+    # Random charts, sections and leafwise connections, a connection that
+    # is sometimes empty, and the coefficient u - z1 that vanishes along
+    # u = z1 in a slot where the section has no leaf partial.
+    yield LeafwiseConnection(CHART, {("u", "z2"): u - z1}), BundleSection(CHART, {"u": z1})
+    yield LeafwiseConnection(CHART), BundleSection(CHART, {"u": z1 * z2})
+    rng = random.Random(83)
+    for _ in range(300):
+        chart = randgen.bundle_chart(rng)
+        a = randgen.leafwise_connection(rng, chart)
+        yield (a if rng.random() < 0.8 else LeafwiseConnection(chart)), randgen.section(rng, chart)
+
+
+def test_jet_and_covariant_differential_match_the_slot_oracle():
+    for a, s in _oracle_cases():
+        nabla = covariant_differential(a, s)
+        jet = jet_prolongation(s)
+        assert oracles.table_terms(nabla) == oracles.covariant_differential_by_slots(a, s)
+        empty = LeafwiseConnection(s.chart)
+        assert oracles.table_terms(jet) == oracles.covariant_differential_by_slots(empty, s)
+        assert all(nabla.coefficients.values()) and all(jet.coefficients.values())
+
+
+# The bundle operations check the types their signatures name, as the form
+# operations do.
+FULL = Connection(CHART, {("u", "z1"): u, ("u", "z3"): z1})
+LEAFWISE = LeafwiseConnection(CHART, {("u", "z1"): u})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: connection_difference(FULL, LEAFWISE),
+        lambda: translate_connection(LEAFWISE, FULL),
+        lambda: restrict_connection(fc.Splitting(BASE, {("z1", "z3"): z2})),
+        lambda: covariant_differential(LEAFWISE, "x"),
+        lambda: covariant_differential(FULL, BundleSection(CHART, {"u": z1})),
+        lambda: jet_prolongation(None),
+    ],
+    ids=[
+        "difference-of-a-connection",
+        "translate-by-a-connection",
+        "restrict-a-splitting",
+        "covariant-differential-of-a-string",
+        "covariant-differential-by-a-connection",
+        "jet-of-none",
+    ],
+)
+def test_operand_types_are_checked(call):
+    with pytest.raises(fc.ChartMismatchError, match=" needs a "):
+        call()

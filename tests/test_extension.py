@@ -26,6 +26,7 @@ from folicalc import (
     verify_extension,
 )
 
+import oracles
 import randgen
 
 BASE = AdaptedChart(("z1", "z2"), ("z3",))
@@ -230,3 +231,55 @@ def test_chart_compatibility_enforced():
         apply_splitting(Splitting(other_base), VerticalValuedLeafwiseForm(CHART))
     with pytest.raises(fc.ChartMismatchError):
         extend_connection(LeafwiseConnection(CHART), None, Splitting(other_base))
+
+
+def _soldering_cases():
+    # Random splittings and vertical-valued forms, a splitting that is
+    # sometimes empty, and two products that cancel in the one slot [u][z3].
+    yield (
+        Splitting(BASE, {("z1", "z3"): z2, ("z2", "z3"): z1}),
+        VerticalValuedLeafwiseForm(CHART, {("u", "z1"): z1, ("u", "z2"): -z2}),
+    )
+    rng = random.Random(89)
+    for _ in range(300):
+        chart = randgen.bundle_chart(rng)
+        split = randgen.splitting(rng, chart.base) if rng.random() < 0.8 else Splitting(chart.base)
+        yield split, randgen.vertical_form(rng, chart)
+
+
+def test_apply_splitting_matches_the_slot_oracle():
+    for split, q in _soldering_cases():
+        soldered = apply_splitting(split, q)
+        assert oracles.table_terms(soldered) == oracles.soldering_by_slots(split, q)
+        assert all(soldered.coefficients.values())
+
+
+# The types the signatures name are checked; extend_connection's checks
+# cover verify_extension and extension_dependence.
+FULL = Connection(CHART, {("u", "z1"): u, ("u", "z3"): z1})
+LEAFWISE = LeafwiseConnection(CHART, {("u", "z1"): u})
+SPLIT = Splitting(BASE, {("z1", "z3"): z2})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_extension(FULL, None, SPLIT),
+        lambda: extend_connection(LEAFWISE, LEAFWISE, SPLIT),
+        lambda: extend_connection(LEAFWISE, FULL, None),
+        lambda: extension_dependence(LEAFWISE, None, SPLIT, FULL),
+        lambda: apply_splitting(SPLIT, FULL),
+        lambda: apply_splitting(FULL, VerticalValuedLeafwiseForm(CHART)),
+    ],
+    ids=[
+        "verify-a-connection",
+        "extend-from-a-leafwise-reference",
+        "extend-by-none",
+        "dependence-on-a-connection",
+        "solder-a-connection",
+        "split-by-a-connection",
+    ],
+)
+def test_operand_types_are_checked(call):
+    with pytest.raises(fc.ChartMismatchError, match=" needs a "):
+        call()

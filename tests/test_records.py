@@ -526,6 +526,32 @@ def test_every_table_type_is_a_record(make):
             pytest.fail("no match")
 
 
+OWN_DICT_CASES = [
+    (Connection, (_bundle(),), {("u", "z3"): u}),
+    (LeafwiseConnection, (_bundle(),), {("u", "z1"): u}),
+    (LeafwiseJetPoint, (_bundle(),), {("u", "z2"): z3}),
+    (VerticalValuedLeafwiseForm, (_bundle(),), {("u", "z1"): z2}),
+    (Splitting, (_chart(),), {("z1", "z3"): z2}),
+    (SolderingForm, (_bundle(),), {("u", "z3"): z1}),
+    (LeafwiseForm, (_bundle(), 1), {("z2",): u}),
+    (ExteriorForm, (_chart(), 2), {("z1", "z3"): z2}),
+    (BundleSection, (_bundle(),), {"u": z1}),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, args, entries", OWN_DICT_CASES, ids=[case[0].__name__ for case in OWN_DICT_CASES]
+)
+def test_constructors_keep_their_own_dict(kind, args, entries):
+    # What the contract guarantees of the dicts: writing to the mapping a
+    # caller passed in does not reach the record built from it.
+    given = dict(entries)
+    record = kind(*args, given)
+    given.clear()
+    given[next(iter(entries))] = z1 * z2
+    assert record == kind(*args, dict(entries))
+
+
 def test_copies_are_checked_again():
     # A copy goes through the constructor, which rejects what it would
     # reject from a caller: here an entry smuggled into the shared dict.
