@@ -25,7 +25,7 @@ from .connections import (
 from .dsl import DeclaredTransition, Document, DocumentObject
 from .errors import InputError
 from .extension import Splitting, extend_connection, extension_dependence, verify_extension
-from .expr import Expression
+from .expr import _product_sum
 from .forms import (
     exterior_differential,
     form_add,
@@ -286,10 +286,11 @@ def _dependence_matches(leafwise, reference, splittings, delta) -> bool:
     first, second = splittings
     for fibre in range(chart.fibre_dim):
         for trans in range(chart.dim_leaf, chart.dim):
-            expected = Expression.zero()
-            for leaf in range(chart.dim_leaf):
-                weight = first.coefficient(leaf, trans) - second.coefficient(leaf, trans)
-                expected = expected - weight * difference.coefficient(fibre, leaf)
+            expected = _product_sum([
+                (first.coefficient(leaf, trans) - second.coefficient(leaf, trans),
+                 difference.coefficient(fibre, leaf), True)
+                for leaf in range(chart.dim_leaf)
+            ])
             if delta.coefficient(fibre, trans) != expected:
                 return False
     return True

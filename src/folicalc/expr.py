@@ -18,6 +18,9 @@ denominators, so the gcd is taken against the lcm of gcd(lcm so far, next
 denominator), and integer polynomials and coprime denominators take none.
 For products it is Gauss's lemma: for canonical factors a and b the shared
 factor is exactly gcd(den a, numerators of b) * gcd(den b, numerators of a).
+A sum of products takes both: each pair is reduced by the lemma, and the
+pairs are summed over the lcm of the reduced denominators under Henrici's
+bound, so no gcd runs against the product of all the denominators.
 
 Fractions are built only where coefficients are read: `terms`, iteration and
 `evaluate`.  `terms` computes and caches the canonical order, descending
@@ -39,30 +42,34 @@ sort by a tuple key instead.
 Constructors accept only int (not bool) and Fraction scalars and raise
 InputError for anything else, floats included.
 
-A product whose factors both have two or more terms, and at least
-_PACKED_MIN_PAIRS pairs of terms between them, runs through a kernel after
-Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors" (CASC 2007).  Each monomial becomes one int with a
-bit field per variable, wide enough that adding two keys never carries, so a
-pair of terms costs one int addition and one multiply-add, and the monomial
-tuple is built once per output term, from (name, exponent) pairs that the
-output shares.  Packing costs a fixed amount, and only collisions repay it.
-Kernel time over direct-loop time (2-vCPU VM, Python 3.11.7) is 1.4 to 6.4
-below 16 pairs on every operand set timed: dense factors in two variables,
-sparse ones in six, and the products the benchmark's workloads make.  From
-16 to 63 pairs it is 0.82 to 2.0 on dense factors, 1.4 to 2.1 on sparse ones
-and 1.1 to 3.2 on the workloads' products.  From 64 pairs it is 0.35 to 0.80
-on dense factors, 1.1 to 1.6 on sparse ones (below 1 only from ~900 pairs)
-and 0.20 to 1.2 on the workloads', where it loses only at 75 and 126 pairs
-(1.06 to 1.18) and wins from 175.  A threshold of 128 or 176 moved ring's
-run time by under 2%, within noise, and gives up the dense factors' gain, so
-_PACKED_MIN_PAIRS = 64.
+Products and sums of products are one kernel, _product_sum, over (a, b,
+negate) pairs; a product is its one-pair case.  A sum with at least
+_PACKED_MIN_PAIRS pairs of terms, counting pairs whose factors both have two
+or more terms, runs after Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors" (CASC 2007).  Each
+monomial becomes one int with a bit field per variable, laid out once per
+sum and wide enough that adding two keys never carries, so a pair of terms
+costs one int addition and one multiply-add, and each output monomial is
+decoded once, from (name, exponent) pairs the output shares.  Only
+collisions repay packing; a one-term factor makes none, and costs 2.1 to 8.4
+times the direct loop there, so it is not counted.  Kernel time over
+direct-loop time (2-vCPU VM, Python 3.11.7, two runs):
+
+    pairs       dense, 2 variables   sparse, 6 variables   workloads' sums
+    < 64        0.86 - 2.6           1.7 - 3.0             1.6 - 2.5
+    64 - 127    0.40 - 1.06          1.6                   0.99 - 1.14
+    128 - 255   0.34 - 0.53          1.4 - 1.6             0.59 - 0.60
+    >= 256      0.16 - 0.40          0.88 - 1.3            0.23 - 0.44
+
+The last column is every sum that one round of the ring and sweep workloads
+makes.  Below 128 only dense factors gain and the workloads' sums lose up to
+14%; from 128 all but sparse factors gain, so _PACKED_MIN_PAIRS = 128.
+Either value moves a ring round by about 1 ms.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
@@ -76,12 +83,10 @@ Monomial = tuple[tuple[str, int], ...]
 
 Scalar = int | Fraction
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-# Products of at least this many term pairs (len(a) * len(b)), both factors
-# having two or more terms, go through _packed_product; see the module
-# docstring for the measurement behind the value.
-_PACKED_MIN_PAIRS = 64
+# Sums of products with at least this many pairs of terms, counting only
+# pairs whose factors both have two or more terms, run on packed keys; see
+# the module docstring for the measurement behind the value.
+_PACKED_MIN_PAIRS = 128
 
 # The widest packed key, in bits, that _ordered sorts by.  Wider keys would
 # make printing superlinear in the number of variables times the size of
@@ -90,8 +95,15 @@ _ORDER_KEY_BITS = 256
 
 
 def is_identifier(name: str) -> bool:
-    """True if name is a legal variable name in the expression grammar."""
-    return isinstance(name, str) and _IDENT_RE.match(name) is not None
+    """True if name is a legal variable name in the expression grammar,
+    [A-Za-z_][A-Za-z0-9_]*."""
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
+
+
+def _check_names(names: Iterable) -> None:
+    for name in names:
+        if not is_identifier(name):
+            raise InputError(f"invalid variable name {name!r}")
 
 
 def _is_int(value) -> bool:
@@ -181,15 +193,55 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _packed_product(
-    a: Mapping[Monomial, int], b: Mapping[Monomial, int]
-) -> dict[Monomial, int]:
-    # The nonzero numerators of a * b, with packed exponent keys.  Each
-    # variable owns a bit field wide enough for the largest exponent sum it
-    # can reach, so adding two keys adds exponents field by field without
-    # carries, and the keys of distinct product monomials stay distinct.
-    pairs_a = {pair for mono in a for pair in mono}
-    pairs_b = {pair for mono in b for pair in mono}
+def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "Expression":
+    # The sum of a * b over (a, b, negate) pairs, each negated where its flag
+    # is set, in one accumulator (see the module docstring).  Each pair's
+    # factors are divided by Gauss's gcds, and its products scaled to the
+    # lcm of the reduced denominators as its left numerators are read.
+    reduced = []
+    dens = []
+    count = 0
+    for a, b, negate in pairs:
+        left, right = a._coeffs, b._coeffs
+        if not left or not right:
+            continue
+        den_a, den_b = a._den, b._den
+        if den_b != 1 and (g := math.gcd(den_b, *left.values())) != 1:
+            left = {m: c // g for m, c in left.items()}
+            den_b //= g
+        if den_a != 1 and (g := math.gcd(den_a, *right.values())) != 1:
+            right = {m: c // g for m, c in right.items()}
+            den_a //= g
+        dens.append(den_a * den_b)
+        reduced.append((left, right, dens[-1], negate))
+        if len(left) > 1 and len(right) > 1:
+            count += len(left) * len(right)
+    if not reduced:
+        return Expression._build({})
+    den, bound = _common_denominator(dens)
+    if count >= _PACKED_MIN_PAIRS:
+        return _reduced(_packed_sum(reduced, den), den, bound)
+    acc: dict[Monomial, int] = {}
+    for left, right, d, negate in reduced:
+        scale = -(den // d) if negate else den // d
+        for mono_a, num_a in left.items():
+            num_a *= scale
+            for mono_b, num_b in right.items():
+                mono = _merge_monomials(mono_a, mono_b)
+                acc[mono] = acc.get(mono, 0) + num_a * num_b
+    if 0 in acc.values():
+        acc = {m: c for m, c in acc.items() if c}
+    return _reduced(acc, den, bound)
+
+
+def _packed_sum(reduced: Sequence[tuple[dict, dict, int, bool]], den: int) -> dict[Monomial, int]:
+    # The nonzero numerators over den of the sum that _product_sum reduced
+    # to (left, right, denominator, negate) entries, on packed exponent keys.
+    # Each variable owns a bit field wide enough for the largest exponent sum
+    # any product can reach, so adding two keys adds exponents field by field
+    # without carries, and the keys of distinct monomials stay distinct.
+    pairs_a = {pair for left, _, _, _ in reduced for mono in left for pair in mono}
+    pairs_b = {pair for _, right, _, _ in reduced for mono in right for pair in mono}
     exponents: dict[str, tuple[list[int], list[int]]] = {}
     for side, pairs in enumerate((pairs_a, pairs_b)):
         for name, exponent in pairs:
@@ -207,19 +259,21 @@ def _packed_product(
         fields.append((name, shift, (1 << width) - 1))
         shift += width
     packed = {pair: pair[1] << shifts[pair[0]] for pair in pairs_a | pairs_b}.__getitem__
-    left = [(sum(map(packed, mono)), c) for mono, c in a.items()]
-    right = [(sum(map(packed, mono)), c) for mono, c in b.items()]
     acc: dict[int, int] = {}
     get = acc.get
-    for key_a, num_a in left:
-        for key_b, num_b in right:
-            key = key_a + key_b
-            acc[key] = get(key, 0) + num_a * num_b
+    for left, right, d, negate in reduced:
+        scale = -(den // d) if negate else den // d
+        right = [(sum(map(packed, mono)), c) for mono, c in right.items()]
+        for mono_a, num_a in left.items():
+            key_a = sum(map(packed, mono_a))
+            num_a *= scale
+            for key_b, num_b in right:
+                key = key_a + key_b
+                acc[key] = get(key, 0) + num_a * num_b
     # Keys decode through a table per field of the (name, exponent) pairs
     # that the factors' exponent sums make, so the monomials share their
-    # pairs, unless the tables would hold more pairs than the product has
-    # terms (exponents that rarely repeat), where they cost more than they
-    # save.
+    # pairs, unless the tables would hold more pairs than the sum has terms
+    # (exponents that rarely repeat), where they cost more than they save.
     if sum([len(xs) * len(ys) for xs, ys in exponents.values()]) > len(acc):
         return {
             tuple([(name, e) for name, shift, mask in fields if (e := key >> shift & mask)]): num
@@ -356,8 +410,7 @@ class Expression:
 
     @classmethod
     def variable(cls, name: str) -> "Expression":
-        if not is_identifier(name):
-            raise InputError(f"invalid variable name {name!r}")
+        _check_names((name,))
         return cls._build({((name, 1),): 1})
 
     @staticmethod
@@ -438,25 +491,7 @@ class Expression:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        left, right = self._coeffs, other._coeffs
-        if not left or not right:
-            return Expression._build({})
-        if len(left) > 1 and len(right) > 1 and len(left) * len(right) >= _PACKED_MIN_PAIRS:
-            product = _packed_product(left, right)
-        else:
-            product = {}
-            for mono_a, num_a in left.items():
-                for mono_b, num_b in right.items():
-                    mono = _merge_monomials(mono_a, mono_b)
-                    product[mono] = product.get(mono, 0) + num_a * num_b
-            if 0 in product.values():
-                product = {m: c for m, c in product.items() if c}
-        # Gauss's lemma: the exact factor the numerators share with the
-        # product of the denominators (see the module docstring).
-        g = math.gcd(self._den, *right.values()) * math.gcd(other._den, *left.values())
-        if g != 1:
-            product = {m: c // g for m, c in product.items()}
-        return Expression._build(product, self._den * other._den // g)
+        return _product_sum(((self, other, False),))
 
     __rmul__ = __mul__
 
@@ -477,6 +512,7 @@ class Expression:
 
     def partial(self, variable: str) -> "Expression":
         """Formal partial derivative with respect to a variable name."""
+        _check_names((variable,))
         # Lowering one exponent maps distinct monomials to distinct monomials,
         # so no two terms collide and no numerator cancels; the exponents
         # may share a factor with the denominator, though.
@@ -499,6 +535,7 @@ class Expression:
 
     def substitute(self, bindings: Mapping[str, "Expression | Scalar"]) -> "Expression":
         """Simultaneous substitution of expressions for variables."""
+        _check_names(bindings)
         resolved: dict[str, Expression] = {}
         for name, value in bindings.items():
             coerced = _coerce(value)
@@ -518,6 +555,7 @@ class Expression:
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; every variable must be bound."""
+        _check_names(values)
         total = 0
         for mono, coeff in self._coeffs.items():
             term = coeff

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .charts import AdaptedChart
 from .errors import ChartMismatchError
-from .expr import Expression, _add_into
+from .expr import _add_into, _product_sum
 from .forms import ExteriorForm
 from .connections import (
     Connection,
@@ -69,17 +69,14 @@ def apply_splitting(
     chart = difference.chart
     if split.chart != chart.base:
         raise ChartMismatchError("splitting chart does not match the bundle base")
-    products = {}
+    pairs = {}
     for (leaf, trans), weight in split.coefficients.items():
         for fibre in range(chart.fibre_dim):
             value = difference.coefficients.get((fibre, leaf))
             if value is not None:
-                products.setdefault((fibre, trans), []).append(weight * value)
+                pairs.setdefault((fibre, trans), []).append((weight, value, True))
     table = dict(difference.coefficients)
-    for key, terms in products.items():
-        total = Expression.sum((), terms)
-        if not total.is_zero():
-            table[key] = total
+    table.update({key: total for key, signed in pairs.items() if (total := _product_sum(signed))})
     return SolderingForm._build(chart, table)
 
 

@@ -33,7 +33,7 @@ from .charts import (
     base_chart,
 )
 from .errors import ChartMismatchError, InputError
-from .expr import Expression, Scalar, _add_into, _is_int
+from .expr import Expression, Scalar, _add_into, _is_int, _product_sum
 
 
 def merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
@@ -195,7 +195,7 @@ class ExteriorForm(_Form):
 
 
 def _require_same_kind(a: _Form, b: _Form, operation: str):
-    if type(a) is not type(b):
+    if not isinstance(a, _Form) or type(a) is not type(b):
         raise ChartMismatchError(
             f"cannot {operation} {type(a).__name__} and {type(b).__name__}"
         )
@@ -219,12 +219,13 @@ def wedge(a: _Form, b: _Form) -> _Form:
     """Exterior product; repeated basis indices kill a term, interleaving
     two index blocks contributes the sign of the sorting permutation."""
     _require_same_kind(a, b, "wedge")
-    out: dict[tuple[int, ...], Expression] = {}
+    pairs: dict[tuple[int, ...], list] = {}
     for left, f in a.components.items():
         for right, g in b.components.items():
             merged, sign = merge_indices(left, right)
             if merged is not None:
-                _add_into(out, {merged: f * g}, sign < 0)
+                pairs.setdefault(merged, []).append((f, g, sign < 0))
+    out = {merged: total for merged, signed in pairs.items() if (total := _product_sum(signed))}
     return a._build(a.chart, a.degree + b.degree, out)
 
 

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import folicalc as fc
 from folicalc import Expression
@@ -218,6 +218,18 @@ def test_pow_rejects_negative():
 def test_variable_name_validation():
     with pytest.raises(fc.InputError):
         Expression.variable("not a name")
+
+
+@pytest.mark.parametrize("bad", [3, None, "not a name", "1x"])
+def test_calculus_and_substitution_reject_invalid_names(bad):
+    # A name no expression can contain is an input error, not a no-op.
+    for op in (
+        lambda: z1.partial(bad),
+        lambda: z1.substitute({bad: 1}),
+        lambda: z1.evaluate({bad: 1, "z1": 2}),
+    ):
+        with pytest.raises(fc.InputError):
+            op()
 
 
 # -- unordered storage, canonical order on read ----------------------------------
@@ -706,6 +718,49 @@ def test_packed_products_are_canonical(a, b):
     _assert_layout((a + b) * (a - b), oracles.dict_product(plus, minus))
 
 
+# Both paths of the product-sum kernel: a threshold of 0 sends every sum
+# through the packed keys, one of 10**9 through the direct loop.
+kernel_paths = pytest.mark.parametrize("threshold", [0, 10**9])
+
+
+def _product_sum_at(threshold, pairs):
+    saved = expr_module._PACKED_MIN_PAIRS
+    expr_module._PACKED_MIN_PAIRS = threshold
+    try:
+        return expr_module._product_sum(pairs)
+    finally:
+        expr_module._PACKED_MIN_PAIRS = saved
+
+
+@kernel_paths
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.tuples(small_factors, small_factors, st.booleans()), max_size=4),
+    st.sampled_from(["once", "cancel", "twice"]),
+)
+@example(pairs=[], repeat="once")
+@example(pairs=[(Expression.zero(), z1, True)], repeat="once")
+def test_product_sums_match_summed_products(threshold, pairs, repeat):
+    # The oracle computes every product on its own and sums them.  "cancel"
+    # repeats each pair swapped and with its sign flipped, so the sum is
+    # zero; "twice" repeats it as it is, so every numerator doubles and an
+    # even denominator must shrink.
+    if repeat == "cancel":
+        pairs = pairs + [(b, a, not negate) for a, b, negate in pairs]
+    elif repeat == "twice":
+        pairs = pairs + pairs
+    plus = [a * b for a, b, negate in pairs if not negate]
+    minus = [a * b for a, b, negate in pairs if negate]
+    total = _product_sum_at(threshold, pairs)
+    assert total == Expression.sum(plus, minus)
+    _assert_layout(total, oracles.dict_sum(
+        [oracles.dict_product(dict(a.terms), dict(b.terms)) for a, b, negate in pairs if not negate],
+        [oracles.dict_product(dict(a.terms), dict(b.terms)) for a, b, negate in pairs if negate],
+    ))
+    if repeat == "cancel":
+        assert total.is_zero()
+
+
 @settings(deadline=None)
 @given(tiny_factors, st.integers(0, 4), st.sampled_from(layout_names), tiny_factors, tiny_factors)
 def test_power_partial_and_substitute_are_canonical(a, n, v, s, t):
@@ -793,3 +848,29 @@ def test_distinct_prime_denominators_stay_bounded():
     assert dict(doubled.terms) == {mono: 2 * c for mono, c in e.terms}
     assert doubled._den * 2 == e._den
     assert dict(product.terms) == oracles.dict_product(dict(e.terms), dict(binomial.terms))
+
+
+def test_product_sums_over_distinct_prime_denominators_stay_bounded():
+    # k two-term pairs, each over its own two primes: the sum's denominator
+    # is the product of all 2k primes (~55k bits) and every numerator nearly
+    # as large.  One accumulator scales each pair once and, the denominators
+    # being coprime, takes no gcd (~0.2 s); adding the products one by
+    # one rescales the growing partial sum at every step (over 10 s).
+    k = 2000
+    primes = _primes(2 * k, limit=40000)
+    pairs = [
+        (
+            Expression({((f"z{i % 7}", i // 7 + 1),): Fraction(1, primes[2 * i]), (): 1}),
+            Expression({(("z1", 1),): Fraction(1, primes[2 * i + 1]), (): 1}),
+            i % 2 == 1,
+        )
+        for i in range(k)
+    ]
+    start = time.perf_counter()
+    total = expr_module._product_sum(pairs)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
+    assert total._den == math.prod(primes)
+    assert total == Expression.sum(
+        [a * b for a, b, negate in pairs if not negate], [a * b for a, b, negate in pairs if negate]
+    )

@@ -83,6 +83,14 @@ def test_add_chart_mismatch():
         lf(1, {("z1",): one}) + LeafwiseForm(other, 1, {("z1",): one})
 
 
+@pytest.mark.parametrize("operation", [fc.wedge, fc.form_add])
+def test_non_form_operands_rejected(operation):
+    form = lf(1, {("z1",): one})
+    for a, b in (("x", "y"), (form, "y"), ("x", form), (z1, z1)):
+        with pytest.raises(fc.ChartMismatchError):
+            operation(a, b)
+
+
 def test_invalid_indices_rejected():
     with pytest.raises(fc.InputError):
         lf(1, {("z3",): one})  # transverse index on a leafwise form
