@@ -14,7 +14,7 @@ own errors at its tokens.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from operator import attrgetter
 
 from .errors import ChartMismatchError, InputError
@@ -61,10 +61,38 @@ class _Record:
         return type(self), self._values(self)
 
 
-def _checked_names(names: Sequence[str], what: str) -> tuple[str, ...]:
+def _require(operation: str, *operands):
+    """The one operand type check: each (value, kind) operand's value is a
+    kind (a type, or a union such as Chart), or a ChartMismatchError says
+    which it is not.  A success runs one isinstance per operand."""
+    for value, kind in operands:
+        if not isinstance(value, kind):
+            names = " or ".join([k.__name__ for k in getattr(kind, "__args__", (kind,))])
+            names = f"{'an' if names[0] in 'AEIOUaeiou' else 'a'} {names}"
+            raise ChartMismatchError(f"{operation} needs {names}, not {type(value).__name__}")
+
+
+def _tuple(operation: str, values, kind: type = object) -> tuple:
+    try:
+        values = tuple(values)
+    except TypeError:
+        _require(operation, (values, Iterable))
+        raise
+    for value in values:
+        if not isinstance(value, kind):
+            _require(operation, (value, kind))
+    return values
+
+
+def _require_chart(a, b, operation: str):
+    if a.chart != b.chart:
+        raise ChartMismatchError(f"cannot {operation} over different charts")
+
+
+def _checked_names(operation: str, names: Sequence[str], what: str) -> tuple[str, ...]:
     if isinstance(names, str):
         raise InputError(f"{what} names are a sequence of names, not the string {names!r}")
-    names = tuple(names)
+    names = _tuple(operation, names)
     for name in names:
         if not is_identifier(name):
             raise InputError(f"invalid {what} name {name!r}")
@@ -77,8 +105,8 @@ class AdaptedChart(_Record):
     __slots__ = ("leaf_coords", "transverse_coords")
 
     def __init__(self, leaf_coords: Sequence[str], transverse_coords: Sequence[str] = ()):
-        leaf_coords = _checked_names(leaf_coords, "coordinate")
-        transverse_coords = _checked_names(transverse_coords, "coordinate")
+        leaf_coords = _checked_names("AdaptedChart", leaf_coords, "coordinate")
+        transverse_coords = _checked_names("AdaptedChart", transverse_coords, "coordinate")
         if not leaf_coords:
             raise InputError("an adapted chart needs at least one leaf coordinate")
         names = leaf_coords + transverse_coords
@@ -110,9 +138,8 @@ class BundleChart(_Record):
     __slots__ = ("base", "fibre_coords")
 
     def __init__(self, base: AdaptedChart, fibre_coords: Sequence[str]):
-        if not isinstance(base, AdaptedChart):
-            raise InputError("bundle chart needs an AdaptedChart base")
-        fibre_coords = _checked_names(fibre_coords, "fibre")
+        _require("BundleChart", (base, AdaptedChart))
+        fibre_coords = _checked_names("BundleChart", fibre_coords, "fibre")
         if not fibre_coords:
             raise InputError("a bundle chart needs at least one fibre coordinate")
         names = base.coords + fibre_coords
@@ -153,10 +180,11 @@ def allowed_variables(chart: Chart) -> frozenset[str]:
     return frozenset(chart.coords)
 
 
-def _check_variables(expr: Expression, allowed: frozenset[str], what: str):
-    extra = expr.variables() - allowed
-    if extra:
-        raise InputError(f"variable {min(extra)!r} is not available in {what}")
+def _check_variables(exprs: Iterable[Expression], allowed: frozenset[str], what: str):
+    for expr in exprs:
+        extra = expr.variables() - allowed
+        if extra:
+            raise InputError(f"variable {min(extra)!r} is not available in {what}")
 
 
 def _axis(chart: Chart, kind: str) -> tuple[str, tuple[str, ...], int, int]:
@@ -204,11 +232,11 @@ def _multi_index(axis, key, entry=None) -> tuple[int, ...]:
 
 
 def _checked_entries(
-    chart: Chart, kinds: tuple[str, ...], allowed: frozenset[str], what: str,
-    entries: Mapping, degree: int | None = None,
+    operation: str, chart: Chart, kinds: tuple[str, ...], allowed: frozenset[str], what: str,
+    entries: Mapping | None, degree: int | None = None,
 ) -> dict:
-    """The entries given to a table, form or section constructor, keyed by
-    position, with zeros dropped.
+    """The entries (None for none) given to a table, form or section
+    constructor called operation, keyed by position, with zeros dropped.
 
     A table's key is a tuple of one index per axis kind in kinds, and a
     section's (one kind) is its index alone.  A form passes its degree, and
@@ -219,10 +247,12 @@ def _checked_entries(
     and the value, and the first bad entry raises an InputError carrying
     entry and part (see errors.py).
     """
+    if entries is not None and not isinstance(entries, dict):
+        _require(operation, (entries, Mapping))
     axes = [_axis(chart, kind) for kind in kinds]
     out = {}
     seen = set()
-    for key, value in entries.items():
+    for key, value in (entries or {}).items():
         if degree is not None:
             position = _multi_index(axes[0], key, key)
             if len(position) != degree:
@@ -240,7 +270,7 @@ def _checked_entries(
         seen.add(position)
         try:
             value = _as_expression(value)
-            _check_variables(value, allowed, what)
+            _check_variables((value,), allowed, what)
         except InputError as error:
             raise InputError(str(error), key, "value") from None
         if not value.is_zero():
@@ -255,12 +285,8 @@ class TransitionMap(_Record):
     __slots__ = ("target", "components")
 
     def __init__(self, target: AdaptedChart, components: Sequence[Expression]):
-        if not isinstance(target, AdaptedChart):
-            raise InputError("transition map needs an AdaptedChart target")
-        components = tuple(components)
-        for component in components:
-            if not isinstance(component, Expression):
-                raise InputError("transition components must be expressions")
+        _require("TransitionMap", (target, AdaptedChart))
+        components = _tuple("TransitionMap", components, Expression)
         if len(components) != target.dim:
             raise InputError(f"transition needs {target.dim} components, got {len(components)}")
         _set(self, "target", target)
@@ -271,42 +297,37 @@ class TransitionMap(_Record):
         return cls(chart, tuple(Expression.variable(name) for name in chart.coords))
 
 
-def _constant_on_leaves(expr: Expression, leaf_coords: tuple[str, ...]) -> bool:
-    return all(expr.partial(leaf).is_zero() for leaf in leaf_coords)
+def _constant_on_leaves(exprs: Iterable[Expression], leaf_coords: tuple[str, ...]) -> bool:
+    return all(expr.partial(leaf).is_zero() for expr in exprs for leaf in leaf_coords)
 
 
 def check_adapted_transition(transition: TransitionMap, source: AdaptedChart) -> bool:
     """True iff every transverse target coordinate is independent of every
     source leaf coordinate, i.e. the coordinate change respects the foliation."""
+    _require("check_adapted_transition", (transition, TransitionMap), (source, AdaptedChart))
     target = transition.target
     if target.dim != source.dim or target.dim_leaf != source.dim_leaf:
         raise ChartMismatchError("transition charts disagree on dimensions")
-    allowed = frozenset(source.coords)
-    for component in transition.components:
-        _check_variables(component, allowed, "a transition component")
-    return all(
-        _constant_on_leaves(component, source.leaf_coords)
-        for component in transition.components[target.dim_leaf:]
-    )
+    _check_variables(transition.components, frozenset(source.coords), "a transition component")
+    return _constant_on_leaves(transition.components[target.dim_leaf:], source.leaf_coords)
 
 
 def check_foliated_bundle_transition(
     fibre_transition: Sequence[Expression], chart: BundleChart
 ) -> bool:
     """True iff every fibre transition component is constant along leaves."""
-    fibre_transition = tuple(fibre_transition)
+    _require("check_foliated_bundle_transition", (chart, BundleChart))
+    fibre_transition = _tuple("check_foliated_bundle_transition", fibre_transition, Expression)
     if len(fibre_transition) != chart.fibre_dim:
         raise InputError(
             f"expected {chart.fibre_dim} fibre transition components, got {len(fibre_transition)}"
         )
-    allowed = frozenset(chart.all_coords)
-    for component in fibre_transition:
-        _check_variables(component, allowed, "a fibre transition component")
-    leaves = chart.base.leaf_coords
-    return all(_constant_on_leaves(component, leaves) for component in fibre_transition)
+    _check_variables(fibre_transition, allowed_variables(chart), "a fibre transition component")
+    return _constant_on_leaves(fibre_transition, chart.base.leaf_coords)
 
 
 def is_foliated_function(f: Expression, chart: AdaptedChart) -> bool:
     """True iff f is constant on leaves: every leaf partial vanishes."""
-    _check_variables(f, frozenset(chart.coords), "a function")
-    return _constant_on_leaves(f, chart.leaf_coords)
+    _require("is_foliated_function", (f, Expression), (chart, AdaptedChart))
+    _check_variables((f,), frozenset(chart.coords), "a function")
+    return _constant_on_leaves((f,), chart.leaf_coords)

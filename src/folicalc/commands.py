@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from .charts import (
     _Record,
+    _require,
     _set,
+    _tuple,
     check_adapted_transition,
     check_foliated_bundle_transition,
     is_foliated_function,
@@ -52,11 +54,8 @@ class Report(_Record):
     __slots__ = ("command", "checks")
 
     def __init__(self, command: str, checks: tuple[CheckResult, ...]):
-        checks = tuple(checks)
-        if not all(isinstance(check, CheckResult) for check in checks):
-            raise InputError("report checks must be CheckResults")
         _set(self, "command", command)
-        _set(self, "checks", checks)
+        _set(self, "checks", _tuple("Report", checks, CheckResult))
 
     @property
     def ok(self) -> bool:
@@ -102,11 +101,12 @@ def _payload_lines(name: str, value) -> str:
 
 def run_command(verb: str, document: Document, names=()) -> Report:
     """Run one CLI verb against a document and collect its checks."""
-    names = list(names)
+    _require("run_command", (verb, str), (document, Document))
+    names = _tuple("run_command", names)
     handler = _HANDLERS.get(verb)
     if handler is None:
         raise InputError(f"unknown command {verb!r}")
-    return Report(verb, tuple(handler(document, names)))
+    return Report(verb, handler(document, names))
 
 
 def _expect_kind(obj: DocumentObject, kinds: tuple[str, ...], verb: str):

@@ -34,10 +34,13 @@ from .charts import (
     _axis,
     _checked_entries,
     _position,
+    _require,
+    _require_chart,
     _set,
+    _tuple,
     allowed_variables,
 )
-from .errors import ChartMismatchError, InputError
+from .errors import InputError
 from .expr import Expression, _add_into
 from .forms import LeafwiseForm
 
@@ -59,11 +62,9 @@ class _CoefficientTable(_Record):
 
     def __init__(self, chart: Chart, coefficients: Mapping | None = None):
         what = type(self).__name__
-        if not isinstance(chart, self._chart_type):
-            kind = self._chart_type.__name__
-            raise InputError(f"{what} needs {'an' if kind[0] in 'AEIOU' else 'a'} {kind}")
+        _require(what, (chart, self._chart_type))
         coefficients = _checked_entries(
-            chart, self._axes, allowed_variables(chart), self._coefficient, coefficients or {}
+            what, chart, self._axes, allowed_variables(chart), self._coefficient, coefficients
         )
         _set(self, "chart", chart)
         _set(self, "coefficients", coefficients)
@@ -147,17 +148,16 @@ class BundleSection(_Record):
     __slots__ = ("chart", "components")
 
     def __init__(self, chart: BundleChart, components):
-        if not isinstance(chart, BundleChart):
-            raise InputError("BundleSection needs a BundleChart")
+        _require("BundleSection", (chart, BundleChart))
         if not isinstance(components, Mapping):
-            components = tuple(components)
+            components = _tuple("BundleSection", components)
             if len(components) != chart.fibre_dim:
                 raise InputError(
                     f"section needs {chart.fibre_dim} components, got {len(components)}"
                 )
             components = dict(enumerate(components))
         given = _checked_entries(
-            chart, ("fibre",), frozenset(chart.base.coords),
+            "BundleSection", chart, ("fibre",), frozenset(chart.base.coords),
             "a section component (base only)", components,
         )
         zero = Expression.zero()
@@ -182,24 +182,9 @@ class BundleSection(_Record):
         return f"<{body}>"
 
 
-def _require_types(operation: str, *operands):
-    # Each (value, type) pair's value is an instance of that type, as the
-    # signature names it; the form operations make the same check.
-    for value, kind in operands:
-        if not isinstance(value, kind):
-            raise ChartMismatchError(
-                f"{operation} needs a {kind.__name__}, not {type(value).__name__}"
-            )
-
-
-def _require_chart(a, b, operation: str):
-    if a.chart != b.chart:
-        raise ChartMismatchError(f"cannot {operation} over different charts")
-
-
 def restrict_connection(connection: Connection) -> LeafwiseConnection:
     """Keep the leaf-indexed coefficients, discard the transverse ones."""
-    _require_types("restrict_connection", (connection, Connection))
+    _require("restrict_connection", (connection, Connection))
     cutoff = connection.chart.dim_leaf
     kept = {
         key: expr for key, expr in connection.coefficients.items() if key[1] < cutoff
@@ -210,38 +195,39 @@ def restrict_connection(connection: Connection) -> LeafwiseConnection:
 def _leaf_partials(section: BundleSection) -> dict[tuple[int, int], Expression]:
     # The nonzero leaf partials of the section's components, keyed
     # (fibre, leaf): the table of its first leafwise jet.
-    chart = section.chart
-    table = {}
-    for fibre, component in enumerate(section.components):
-        for leaf, name in enumerate(chart.base.leaf_coords):
-            derivative = component.partial(name)
-            if not derivative.is_zero():
-                table[(fibre, leaf)] = derivative
-    return table
+    leaves = section.chart.base.leaf_coords
+    return {
+        (fibre, leaf): derivative
+        for fibre, component in enumerate(section.components)
+        for leaf, name in enumerate(leaves)
+        if (derivative := component.partial(name))
+    }
 
 
 def jet_prolongation(section: BundleSection) -> LeafwiseJetPoint:
     """First leafwise jet of a section: the leaf partials of its components."""
-    _require_types("jet_prolongation", (section, BundleSection))
+    _require("jet_prolongation", (section, BundleSection))
     return LeafwiseJetPoint._build(section.chart, _leaf_partials(section))
 
 
 def connection_as_jet_section(connection: LeafwiseConnection) -> LeafwiseJetPoint:
     """Read a leafwise connection as a jet-valued section over the bundle;
     the coefficient table carries over verbatim."""
-    return LeafwiseJetPoint(connection.chart, connection.coefficients)
+    _require("connection_as_jet_section", (connection, LeafwiseConnection))
+    return LeafwiseJetPoint._build(connection.chart, dict(connection.coefficients))
 
 
 def jet_section_as_connection(jet: LeafwiseJetPoint) -> LeafwiseConnection:
     """Inverse of connection_as_jet_section."""
-    return LeafwiseConnection(jet.chart, jet.coefficients)
+    _require("jet_section_as_connection", (jet, LeafwiseJetPoint))
+    return LeafwiseConnection._build(jet.chart, dict(jet.coefficients))
 
 
 def connection_difference(
     a: LeafwiseConnection, b: LeafwiseConnection
 ) -> VerticalValuedLeafwiseForm:
     """Affine difference a - b, a vertical-valued leafwise one-form."""
-    _require_types("connection_difference", (a, LeafwiseConnection), (b, LeafwiseConnection))
+    _require("connection_difference", (a, LeafwiseConnection), (b, LeafwiseConnection))
     _require_chart(a, b, "subtract connections")
     merged = _add_into(dict(a.coefficients), b.coefficients, negate=True)
     return VerticalValuedLeafwiseForm._build(a.chart, merged)
@@ -251,9 +237,7 @@ def translate_connection(
     a: LeafwiseConnection, shift: VerticalValuedLeafwiseForm
 ) -> LeafwiseConnection:
     """Translate a leafwise connection by a vertical-valued leafwise form."""
-    _require_types(
-        "translate_connection", (a, LeafwiseConnection), (shift, VerticalValuedLeafwiseForm)
-    )
+    _require("translate_connection", (a, LeafwiseConnection), (shift, VerticalValuedLeafwiseForm))
     _require_chart(a, shift, "translate")
     merged = _add_into(dict(a.coefficients), shift.coefficients)
     return LeafwiseConnection._build(a.chart, merged)
@@ -266,13 +250,9 @@ def covariant_differential(
     at each (fibre, leaf) slot, the leaf partial of the section's component
     minus the connection coefficient evaluated along the section, that is
     with the section's components put in for the fibre variables."""
-    _require_types("covariant_differential", (a, LeafwiseConnection), (section, BundleSection))
+    _require("covariant_differential", (a, LeafwiseConnection), (section, BundleSection))
     _require_chart(a, section, "differentiate")
     bindings = dict(zip(a.chart.fibre_coords, section.components))
-    along = {}
-    for key, coeff in a.coefficients.items():
-        value = coeff.substitute(bindings)
-        if not value.is_zero():
-            along[key] = value
+    along = {key: value for key, c in a.coefficients.items() if (value := c.substitute(bindings))}
     table = _add_into(_leaf_partials(section), along, negate=True)
     return VerticalValuedLeafwiseForm._build(a.chart, table)

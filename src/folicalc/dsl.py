@@ -78,7 +78,9 @@ from .charts import (
     TransitionMap,
     _Record,
     _checked_entries,
+    _require,
     _set,
+    _tuple,
     allowed_variables,
     base_chart,
 )
@@ -206,7 +208,8 @@ def _scanned_factors(body: str, negations: int) -> Iterator[tuple]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, operation: str):
+        _require(operation, (text, str))
         self.text = text
         self.token = _token_at(text, 0)  # the current token, not yet consumed
         self.depth = 0
@@ -390,7 +393,7 @@ class _Parser:
 
 def parse_expression(text: str) -> Expression:
     """Parse a standalone polynomial expression."""
-    parser = _Parser(text)
+    parser = _Parser(text, "parse_expression")
     value = parser.parse_expression()
     if parser.token.kind != "eof":
         parser.error(f"unexpected {parser.token.text!r} after expression")
@@ -407,12 +410,9 @@ class DeclaredTransition(_Record):
     __slots__ = ("base_map", "fibre_components")
 
     def __init__(self, base_map: TransitionMap, fibre_components: tuple | None = None):
-        if not isinstance(base_map, TransitionMap):
-            raise InputError("declared transition needs a TransitionMap base map")
+        _require("DeclaredTransition", (base_map, TransitionMap))
         if fibre_components is not None:
-            fibre_components = tuple(fibre_components)
-            if not all(isinstance(component, Expression) for component in fibre_components):
-                raise InputError("fibre transition components must be expressions")
+            fibre_components = _tuple("DeclaredTransition", fibre_components, Expression)
         _set(self, "base_map", base_map)
         _set(self, "fibre_components", fibre_components)
 
@@ -421,13 +421,12 @@ class DocumentObject(_Record):
     __slots__ = ("kind", "name", "value")
 
     def __init__(self, kind: str, name: str, value: object):
+        _require("DocumentObject", (kind, str))
         if kind not in _OBJECT_KINDS:
             raise InputError(f"unknown object kind {kind!r}")
         if not is_identifier(name):
             raise InputError(f"invalid object name {name!r}")
-        value_type = _OBJECT_KINDS[kind][0] or DeclaredTransition
-        if not isinstance(value, value_type):
-            raise InputError(f"a {kind} object needs a {value_type.__name__} value")
+        _require("DocumentObject", (value, _OBJECT_KINDS[kind][0] or DeclaredTransition))
         _set(self, "kind", kind)
         _set(self, "name", name)
         _set(self, "value", value)
@@ -439,11 +438,8 @@ class Document(_Record):
     __slots__ = ("chart", "objects")
 
     def __init__(self, chart: Chart, objects: tuple[DocumentObject, ...]):
-        if not isinstance(chart, (AdaptedChart, BundleChart)):
-            raise InputError("document needs an AdaptedChart or BundleChart chart")
-        objects = tuple(objects)
-        if not all(isinstance(obj, DocumentObject) for obj in objects):
-            raise InputError("document objects must be DocumentObjects")
+        _require("Document", (chart, Chart))
+        objects = _tuple("Document", objects, DocumentObject)
         # What parse_document would build from the printed text: distinct
         # names, each object over the chart its block kind is built on, and
         # fibre transition components only over a bundle, one per fibre
@@ -505,7 +501,7 @@ class Document(_Record):
 
 def parse_document(text: str) -> Document:
     """Parse and validate a document, or raise a positioned ParseError."""
-    parser = _Parser(text)
+    parser = _Parser(text, "parse_document")
     return _build_document(parser.parse_blocks())
 
 
@@ -681,7 +677,7 @@ def _transition_entries(chart: Chart, components: dict):
             checked = ("fibre",), allowed_variables(chart), "a fibre transition component"
         else:
             checked = ("coordinate",), frozenset(base.coords), "a base transition component"
-        _checked_entries(chart, *checked, {coord: component})
+        _checked_entries("transition", chart, *checked, {coord: component})
 
 
 def _build_transition(assigns: dict, chart: Chart) -> DeclaredTransition:
@@ -742,6 +738,7 @@ def _transition_lines(name: str, transition: DeclaredTransition, chart: Chart) -
 
 def print_document(document: Document) -> str:
     """Canonical text for a document; parsing it back yields an equal Document."""
+    _require("print_document", (document, Document))
     base = document.base
     blocks: list[str] = []
     manifold_lines = [

@@ -28,7 +28,7 @@ class InputError(FolicalcError):
 
 
 class ChartMismatchError(InputError):
-    """Operands live over incompatible charts, degrees, or kinds."""
+    """An operand of the wrong type, or operands over incompatible charts, degrees, or kinds."""
 
 
 class ParseError(InputError):

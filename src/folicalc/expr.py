@@ -364,22 +364,26 @@ class Expression:
     __slots__ = ("_coeffs", "_den", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        # Checked as charts._require checks an operand; this module is below it.
+        if terms is not None and not isinstance(terms, (dict, Mapping)):
+            raise InputError(f"Expression needs a Mapping, not {type(terms).__name__}")
         entries = []
         for mono, coeff in (terms or {}).items():
             num, den = _scalar(coeff)
             if not num:
                 continue
-            key = tuple(sorted((v, e) for v, e in mono))
-            for name, exponent in key:
+            try:
+                exponents = dict(mono)
+                if len(exponents) != len(mono):
+                    raise InputError("monomial repeats a variable")
+            except (TypeError, ValueError):
+                raise InputError(f"a monomial is (name, exponent) pairs, not {mono!r}") from None
+            for name, exponent in exponents.items():
                 if not is_identifier(name):
                     raise InputError(f"invalid variable name {name!r}")
                 if not _is_int(exponent) or exponent <= 0:
-                    raise InputError(
-                        f"monomial exponent for {name!r} must be a positive int"
-                    )
-            if len({v for v, _ in key}) != len(key):
-                raise InputError("monomial repeats a variable")
-            entries.append((key, num, den))
+                    raise InputError(f"monomial exponent for {name!r} must be a positive int")
+            entries.append((tuple(sorted(exponents.items())), num, den))
         total = _entry_sum(entries)
         self._coeffs, self._den = total._coeffs, total._den
 

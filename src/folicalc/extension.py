@@ -17,7 +17,7 @@ soldering form has fibre rows and a column for every base position.
 
 from __future__ import annotations
 
-from .charts import AdaptedChart
+from .charts import AdaptedChart, _require
 from .errors import ChartMismatchError
 from .expr import _add_into, _product_sum
 from .forms import ExteriorForm
@@ -26,7 +26,6 @@ from .connections import (
     LeafwiseConnection,
     VerticalValuedLeafwiseForm,
     _CoefficientTable,
-    _require_types,
     connection_difference,
     restrict_connection,
 )
@@ -65,7 +64,7 @@ def apply_splitting(
     """Push a vertical-valued leafwise form Q through a splitting B: the
     soldering form sigma = Q on leaf slots, and on transverse ones
     sigma[f][t] = -sum over leaves l of B[l][t] * Q[f][l]."""
-    _require_types("apply_splitting", (split, Splitting), (difference, VerticalValuedLeafwiseForm))
+    _require("apply_splitting", (split, Splitting), (difference, VerticalValuedLeafwiseForm))
     chart = difference.chart
     if split.chart != chart.base:
         raise ChartMismatchError("splitting chart does not match the bundle base")
@@ -90,11 +89,11 @@ def extend_connection(
     over the transverse coefficients.  Leaf coefficients of the result equal
     the input's verbatim.
     """
-    _require_types("extend_connection", (a, LeafwiseConnection))
+    _require("extend_connection", (a, LeafwiseConnection))
     chart = a.chart
     if reference is None:
         reference = Connection(chart)
-    _require_types("extend_connection", (reference, Connection), (split, Splitting))
+    _require("extend_connection", (reference, Connection), (split, Splitting))
     if reference.chart != chart:
         raise ChartMismatchError("reference connection lives over a different chart")
     difference = connection_difference(a, restrict_connection(reference))

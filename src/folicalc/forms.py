@@ -28,6 +28,8 @@ from .charts import (
     _axis,
     _checked_entries,
     _multi_index,
+    _require,
+    _require_chart,
     _set,
     allowed_variables,
     base_chart,
@@ -81,11 +83,13 @@ class _Form(_Record):
         degree: int,
         components: Mapping[tuple, Expression | Scalar] | None = None,
     ):
+        what = type(self).__name__
+        _require(what, (chart, Chart))
         if not _is_int(degree) or degree < 0:
             raise InputError("form degree must be a non-negative integer")
         components = _checked_entries(
-            chart, (self._kind,), allowed_variables(chart), self._coefficient,
-            components or {}, degree,
+            what, chart, (self._kind,), allowed_variables(chart), self._coefficient,
+            components, degree,
         )
         _set(self, "chart", chart)
         _set(self, "degree", degree)
@@ -132,6 +136,7 @@ class _Form(_Record):
         return self._build(self.chart, self.degree, scaled)
 
     def __sub__(self, other):
+        _require("form_add", (other, type(self)))
         return form_add(self, -other)
 
     def assignment_lines(self, name: str) -> list[str]:
@@ -194,18 +199,13 @@ class ExteriorForm(_Form):
     _basis_prefix = "d"
 
 
-def _require_same_kind(a: _Form, b: _Form, operation: str):
-    if not isinstance(a, _Form) or type(a) is not type(b):
-        raise ChartMismatchError(
-            f"cannot {operation} {type(a).__name__} and {type(b).__name__}"
-        )
-    if a.chart != b.chart:
-        raise ChartMismatchError(f"cannot {operation} forms over different charts")
+Form = LeafwiseForm | ExteriorForm
 
 
 def form_add(a: _Form, b: _Form) -> _Form:
     """Componentwise sum of two forms of the same kind, chart, and degree."""
-    _require_same_kind(a, b, "add")
+    _require("form_add", (a, Form), (b, type(a)))
+    _require_chart(a, b, "add forms")
     if a.degree != b.degree:
         raise ChartMismatchError(
             f"cannot add forms of degrees {a.degree} and {b.degree}"
@@ -218,7 +218,8 @@ def form_add(a: _Form, b: _Form) -> _Form:
 def wedge(a: _Form, b: _Form) -> _Form:
     """Exterior product; repeated basis indices kill a term, interleaving
     two index blocks contributes the sign of the sorting permutation."""
-    _require_same_kind(a, b, "wedge")
+    _require("wedge", (a, Form), (b, type(a)))
+    _require_chart(a, b, "wedge forms")
     pairs: dict[tuple[int, ...], list] = {}
     for left, f in a.components.items():
         for right, g in b.components.items():
@@ -229,7 +230,7 @@ def wedge(a: _Form, b: _Form) -> _Form:
     return a._build(a.chart, a.degree + b.degree, out)
 
 
-def _coboundary(form: _Form, index_range: int, result_kind):
+def _coboundary(form: _Form, index_range: int):
     names = base_chart(form.chart).coords
     out: dict[tuple[int, ...], Expression] = {}
     for index, expr in form.components.items():
@@ -240,29 +241,26 @@ def _coboundary(form: _Form, index_range: int, result_kind):
             merged, sign = merge_indices((direction,), index)
             if merged is not None:
                 _add_into(out, {merged: derivative}, sign < 0)
-    return result_kind._build(form.chart, form.degree + 1, out)
+    return form._build(form.chart, form.degree + 1, out)
 
 
 def leafwise_differential(form: LeafwiseForm) -> LeafwiseForm:
     """Coboundary differentiating along leaf coordinates only; raises the
     degree by one and vanishes identically above the leaf dimension."""
-    if not isinstance(form, LeafwiseForm):
-        raise ChartMismatchError("leafwise differential needs a LeafwiseForm")
-    return _coboundary(form, form.chart.dim_leaf, LeafwiseForm)
+    _require("leafwise_differential", (form, LeafwiseForm))
+    return _coboundary(form, form.chart.dim_leaf)
 
 
 def exterior_differential(form: ExteriorForm) -> ExteriorForm:
     """The usual exterior derivative over all base coordinates."""
-    if not isinstance(form, ExteriorForm):
-        raise ChartMismatchError("exterior differential needs an ExteriorForm")
-    return _coboundary(form, form.chart.dim, ExteriorForm)
+    _require("exterior_differential", (form, ExteriorForm))
+    return _coboundary(form, form.chart.dim)
 
 
 def restrict_form(form: ExteriorForm) -> LeafwiseForm:
     """Restriction to leaves: drop every component touching a transverse
     index and reread the survivors on the leafwise basis."""
-    if not isinstance(form, ExteriorForm):
-        raise ChartMismatchError("restriction needs an ExteriorForm")
+    _require("restrict_form", (form, ExteriorForm))
     cutoff = form.chart.dim_leaf
     kept = {
         index: expr

@@ -277,7 +277,7 @@ def test_list_inputs_become_tuples():
         (lambda: AdaptedChart(("z1",), ("z1",)), "chart coordinate names must be distinct"),
         (lambda: AdaptedChart(("1z",)), "invalid coordinate name '1z'"),
         (lambda: AdaptedChart(("z1",), ("a b",)), "invalid coordinate name 'a b'"),
-        (lambda: BundleChart(("z1",), ("u",)), "bundle chart needs an AdaptedChart base"),
+        (lambda: BundleChart(("z1",), ("u",)), "BundleChart needs an AdaptedChart, not tuple"),
         (lambda: BundleChart(_chart(), ()), "a bundle chart needs at least one fibre coordinate"),
         (lambda: BundleChart(_chart(), ("u", "u")), "fibre names must be distinct from base coordinates"),
         (lambda: BundleChart(_chart(), ("z3",)), "fibre names must be distinct from base coordinates"),
@@ -285,18 +285,18 @@ def test_list_inputs_become_tuples():
         (lambda: AdaptedChart("xy"), "coordinate names are a sequence of names, not the string 'xy'"),
         (lambda: AdaptedChart(("z1",), "z2"), "coordinate names are a sequence of names, not the string 'z2'"),
         (lambda: BundleChart(_chart(), "uv"), "fibre names are a sequence of names, not the string 'uv'"),
-        (lambda: TransitionMap(None, []), "transition map needs an AdaptedChart target"),
-        (lambda: TransitionMap(_bundle(), (z1, z2, z3)), "transition map needs an AdaptedChart target"),
-        (lambda: TransitionMap(_chart(), (z1, z2, 3)), "transition components must be expressions"),
+        (lambda: TransitionMap(None, []), "TransitionMap needs an AdaptedChart, not NoneType"),
+        (lambda: TransitionMap(_bundle(), (z1, z2, z3)), "TransitionMap needs an AdaptedChart, not BundleChart"),
+        (lambda: TransitionMap(_chart(), (z1, z2, 3)), "TransitionMap needs an Expression, not int"),
         (lambda: TransitionMap(_chart(), (z1, z2)), "transition needs 3 components, got 2"),
-        (lambda: Report("check", (z1,)), "report checks must be CheckResults"),
-        (lambda: DeclaredTransition(None), "declared transition needs a TransitionMap base map"),
-        (lambda: DeclaredTransition(_chart(), (z1,)), "declared transition needs a TransitionMap base map"),
+        (lambda: Report("check", (z1,)), "Report needs a CheckResult, not Expression"),
+        (lambda: DeclaredTransition(None), "DeclaredTransition needs a TransitionMap, not NoneType"),
+        (lambda: DeclaredTransition(_chart(), (z1,)), "DeclaredTransition needs a TransitionMap, not AdaptedChart"),
         (
             lambda: DeclaredTransition(_map(), ("notexpr",)),
-            "fibre transition components must be expressions",
+            "DeclaredTransition needs an Expression, not str",
         ),
-        (lambda: DeclaredTransition(_map(), (z1, 2)), "fibre transition components must be expressions"),
+        (lambda: DeclaredTransition(_map(), (z1, 2)), "DeclaredTransition needs an Expression, not int"),
         (lambda: DocumentObject("thing", "w", z1), "unknown object kind 'thing'"),
         # Printed, a form named "1w" reparsed to "7:6: expected '{', found '1'".
         (
@@ -305,23 +305,23 @@ def test_list_inputs_become_tuples():
         ),
         (lambda: DocumentObject("section", "s t", BundleSection(_bundle(), (z1,))), "invalid object name 's t'"),
         (lambda: DocumentObject("section", None, BundleSection(_bundle(), (z1,))), "invalid object name None"),
-        (lambda: DocumentObject("form", "w", z1), "a form object needs a LeafwiseForm value"),
+        (lambda: DocumentObject("form", "w", z1), "DocumentObject needs a LeafwiseForm, not Expression"),
         (
             lambda: DocumentObject("form", "w", ExteriorForm(_chart(), 0)),
-            "a form object needs a LeafwiseForm value",
+            "DocumentObject needs a LeafwiseForm, not ExteriorForm",
         ),
         (
             lambda: DocumentObject("transition", "t", _map()),
-            "a transition object needs a DeclaredTransition value",
+            "DocumentObject needs a DeclaredTransition, not TransitionMap",
         ),
         (
             lambda: DocumentObject("connection", "G", LeafwiseConnection(_bundle())),
-            "a connection object needs a Connection value",
+            "DocumentObject needs a Connection, not LeafwiseConnection",
         ),
-        (lambda: Document(None, ()), "document needs an AdaptedChart or BundleChart chart"),
-        (lambda: Document(_map(), ()), "document needs an AdaptedChart or BundleChart chart"),
-        (lambda: Document(_chart(), (z1,)), "document objects must be DocumentObjects"),
-        (lambda: Document(_chart(), (_object(), None)), "document objects must be DocumentObjects"),
+        (lambda: Document(None, ()), "Document needs an AdaptedChart or BundleChart, not NoneType"),
+        (lambda: Document(_map(), ()), "Document needs an AdaptedChart or BundleChart, not TransitionMap"),
+        (lambda: Document(_chart(), (z1,)), "Document needs a DocumentObject, not Expression"),
+        (lambda: Document(_chart(), (_object(), None)), "Document needs a DocumentObject, not NoneType"),
     ],
 )
 def test_validation_errors(build, message):
