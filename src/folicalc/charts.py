@@ -18,7 +18,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from operator import attrgetter
 
 from .errors import ChartMismatchError, InputError
-from .expr import Expression, _as_expression, _is_int, is_identifier
+from .expr import Expression, _as_expression, _is_int, _needs, is_identifier
 
 _set = object.__setattr__
 
@@ -67,9 +67,7 @@ def _require(operation: str, *operands):
     which it is not.  A success runs one isinstance per operand."""
     for value, kind in operands:
         if not isinstance(value, kind):
-            names = " or ".join([k.__name__ for k in getattr(kind, "__args__", (kind,))])
-            names = f"{'an' if names[0] in 'AEIOUaeiou' else 'a'} {names}"
-            raise ChartMismatchError(f"{operation} needs {names}, not {type(value).__name__}")
+            raise ChartMismatchError(_needs(operation, value, kind))
 
 
 def _tuple(operation: str, values, kind: type = object) -> tuple:
@@ -294,6 +292,7 @@ class TransitionMap(_Record):
 
     @classmethod
     def identity(cls, chart: AdaptedChart) -> "TransitionMap":
+        _require("TransitionMap.identity", (chart, AdaptedChart))
         return cls(chart, tuple(Expression.variable(name) for name in chart.coords))
 
 

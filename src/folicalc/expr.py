@@ -65,6 +65,16 @@ The last column is every sum that one round of the ring and sweep workloads
 makes.  Below 128 only dense factors gain and the workloads' sums lose up to
 14%; from 128 all but sparse factors gain, so _PACKED_MIN_PAIRS = 128.
 Either value moves a ring round by about 1 ms.
+
+Powers square repeatedly through that kernel, except where every
+nonconstant term of the base is a power of a variable no other term holds:
+a linear form, (1 + z1)^n, z1^2 - 3*z2.  There the multinomial theorem
+builds each term of P^n once, from its own composition of n into one part
+per term, and distinct compositions give distinct monomials, so no pair of
+terms is formed and nothing cancels (Fateman, "On the computation of powers
+of sparse polynomials", Studies in Applied Mathematics 53, 1974).  The
+result over den^n is canonical by Gauss's lemma: the content of P^n is the
+content of P to the n, which shares no prime with den.
 """
 
 from __future__ import annotations
@@ -104,6 +114,15 @@ def _check_names(names: Iterable) -> None:
     for name in names:
         if not is_identifier(name):
             raise InputError(f"invalid variable name {name!r}")
+
+
+def _needs(operation: str, value, kind) -> str:
+    # The one wording of a wrong operand, for a type or a union of types;
+    # the Expression methods raise it as an InputError, charts._require as a
+    # ChartMismatchError.
+    names = " or ".join([k.__name__ for k in getattr(kind, "__args__", (kind,))])
+    article = "an" if names[0] in "AEIOUaeiou" else "a"
+    return f"{operation} needs {article} {names}, not {type(value).__name__}"
 
 
 def _is_int(value) -> bool:
@@ -293,6 +312,35 @@ def _packed_sum(reduced: Sequence[tuple[dict, dict, int, bool]], den: int) -> di
     }
 
 
+def _separated_power(coeffs: Mapping[Monomial, int], n: int) -> dict[Monomial, int] | None:
+    # The numerators of (sum of coeffs)**n by the multinomial theorem, or
+    # None unless every nonconstant term is a power of a variable that no
+    # other term holds (see the module docstring).  Each state is a
+    # monomial prefix, its numerator and the exponent left to share out; the
+    # constant, or else the last term, takes what is left.
+    constant = coeffs.get(())
+    terms = sorted([(mono[0], c) for mono, c in coeffs.items() if len(mono) == 1])
+    if len({pair[0] for pair, _ in terms}) + (constant is not None) != len(coeffs):
+        return None
+    last = None if constant else terms.pop()
+    states = [((), 1, n)]
+    for (name, e), c in terms:
+        grown = []
+        for prefix, num, rem in states:
+            grown.append((prefix, num, rem))
+            for k in range(1, rem + 1):
+                num = num * c * (rem - k + 1) // k
+                grown.append((prefix + ((name, k * e),), num, rem - k))
+        states = grown
+    if last is None:
+        return {prefix: num * constant**rem for prefix, num, rem in states}
+    (name, e), c = last
+    return {
+        prefix + ((name, rem * e),) if rem else prefix: num * c**rem
+        for prefix, num, rem in states
+    }
+
+
 def _add_into(acc: dict, entries: Mapping, negate=False) -> dict:
     # acc += entries (or -= with negate), keeping acc free of zero values;
     # returns acc.  Values are int numerators here, Expressions in the
@@ -364,9 +412,8 @@ class Expression:
     __slots__ = ("_coeffs", "_den", "_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        # Checked as charts._require checks an operand; this module is below it.
         if terms is not None and not isinstance(terms, (dict, Mapping)):
-            raise InputError(f"Expression needs a Mapping, not {type(terms).__name__}")
+            raise InputError(_needs("Expression", terms, Mapping))
         entries = []
         for mono, coeff in (terms or {}).items():
             num, den = _scalar(coeff)
@@ -429,6 +476,10 @@ class Expression:
         """
         signed = []
         for negate, group in ((False, parts), (True, minus)):
+            try:
+                group = iter(group)
+            except TypeError:
+                raise InputError(_needs("sum", group, Iterable)) from None
             for part in group:
                 coerced = _coerce(part)
                 if coerced is None:
@@ -502,6 +553,10 @@ class Expression:
     def __pow__(self, exponent: int) -> "Expression":
         if not _is_int(exponent) or exponent < 0:
             raise InputError("exponent must be a non-negative integer")
+        if exponent > 1 and len(self._coeffs) > 1:
+            numerators = _separated_power(self._coeffs, exponent)
+            if numerators is not None:
+                return Expression._build(numerators, self._den**exponent)
         result = None
         base = self
         while exponent:
@@ -539,6 +594,8 @@ class Expression:
 
     def substitute(self, bindings: Mapping[str, "Expression | Scalar"]) -> "Expression":
         """Simultaneous substitution of expressions for variables."""
+        if not isinstance(bindings, (dict, Mapping)):
+            raise InputError(_needs("substitute", bindings, Mapping))
         _check_names(bindings)
         resolved: dict[str, Expression] = {}
         for name, value in bindings.items():
@@ -559,6 +616,8 @@ class Expression:
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; every variable must be bound."""
+        if not isinstance(values, (dict, Mapping)):
+            raise InputError(_needs("evaluate", values, Mapping))
         _check_names(values)
         total = 0
         for mono, coeff in self._coeffs.items():

@@ -400,7 +400,7 @@ def test_telescoping_product_cancels(name, step, k, scale):
 
 
 def test_multinomial_coefficients_at_size():
-    # (1+z1+z2+z3)^40 by repeated squaring; the coefficient of
+    # (1+z1+z2+z3)^40 by the multinomial walk; the coefficient of
     # z1^a z2^b z3^c is 40!/(a! b! c! d!) with d = 40 - a - b - c.
     power = fc.parse_expression("1+z1+z2+z3") ** 40
     assert len(power.terms) == math.comb(43, 3) == 12341
@@ -874,3 +874,73 @@ def test_product_sums_over_distinct_prime_denominators_stay_bounded():
     assert total == Expression.sum(
         [a * b for a, b, negate in pairs if not negate], [a * b for a, b, negate in pairs if negate]
     )
+
+
+# -- powers of separated sums: the multinomial case against the power oracle ------
+
+# A constant (zero, negative, fractional or huge) beside up to four powers of
+# distinct variables, entered in the order hypothesis draws the names, so
+# a walk that took the terms in any order but the names' would show.
+separated_bases = st.builds(
+    lambda powers, constant: Expression(
+        {((name, e),): c for name, (e, c) in powers.items()} | {(): constant}
+    ),
+    st.dictionaries(
+        st.sampled_from(kernel_names),
+        st.tuples(kernel_exponents, layout_scalars.filter(bool)),
+        min_size=1,
+        max_size=4,
+    ),
+    layout_scalars,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(separated_bases, st.integers(0, 12))
+def test_separated_powers_match_the_power_oracle(base, n):
+    power = base**n
+    _assert_layout(power, oracles.dict_power(dict(base.terms), n))
+    # Every composition of n into one part per term is its own monomial.
+    k = len(base.terms)
+    assert len(power.terms) == math.comb(n + k - 1, k - 1)
+
+
+@pytest.mark.parametrize("text", ["z1 + z1^2", "z1*z2 + z3", "1/2 - z1*z2", "-3/4*z10^5", "7/3"])
+def test_sums_that_share_or_mix_variables_stay_on_binary_powering(text):
+    base = fc.parse_expression(text)
+    if len(base.terms) > 1:
+        assert expr_module._separated_power(base._coeffs, 2) is None
+    for n in range(7):
+        _assert_layout(base**n, oracles.dict_power(dict(base.terms), n))
+
+
+def test_separated_powers_build_no_products(monkeypatch):
+    # A wall-time-free guard: the parser's one product is the scale factor.
+    seen = []
+    kernel = expr_module._product_sum
+
+    def counted(pairs):
+        seen.append(pairs)
+        return kernel(pairs)
+
+    monkeypatch.setattr(expr_module, "_product_sum", counted)
+    scaled = fc.parse_expression("3/2*(1 + z1 + 2*z2 - 1/3*z3 + z4)^11")
+    assert len(seen) == 1
+    [(left, right, _)] = seen[0]
+    assert Expression.constant(Fraction(3, 2)) in (left, right)
+    assert len(scaled.terms) == math.comb(15, 4)
+    seen.clear()
+    fc.parse_expression("(z1 + z1^2)^11")
+    assert len(seen) > 1
+
+
+def test_separated_powers_match_sympy_expand(sympy):
+    for text, n in (
+        ("1 + z1 + 2*z2 - 1/3*z3 + z4", 7),
+        ("z1^2 - 3*z2", 9),
+        ("-5/6 + Z3^3 + 2/7*a_b - z10", 5),
+        ("z2 + z1", 12),
+    ):
+        base = fc.parse_expression(text)
+        expected = sympy.expand(_to_sympy(sympy, base) ** n)
+        assert sympy.expand(expected - _to_sympy(sympy, base**n)) == 0

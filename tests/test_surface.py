@@ -6,10 +6,13 @@ Expression, both chart kinds, a form of each kind, a Connection, a
 LeafwiseConnection, a Splitting and a BundleSection) that its signature
 binds, and the records' operators are applied to every pair.  Only a
 FolicalcError may escape, and for an operator also the TypeError that the
-interpreter raises itself when both sides return NotImplemented.  The calls
-that leaked an AttributeError or TypeError from inside the package before
-its operand checks were one `charts._require` are pinned below, each with
-its exact class and message.
+interpreter raises itself when both sides return NotImplemented.  Every
+public method of the pool's records and every public class or static method
+of the package's classes is called the same way with zero to two values.
+The calls that leaked an AttributeError or TypeError from inside the
+package before its operand checks were one `charts._require` (and, in
+expr.py below it, one wording) are pinned below, each with its exact class
+and message.
 """
 
 from __future__ import annotations
@@ -59,7 +62,22 @@ def _public_callables():
     for name in fc.__all__:
         value = getattr(fc, name)
         if not (isinstance(value, type) and issubclass(value, BaseException)):
-            yield name, value, inspect.signature(value)
+            yield name, value
+
+
+def _public_methods():
+    # Bound methods of the pool's package records, then the class and
+    # static methods of every public class.
+    for kind, value in {type(value): value for value in POOL}.items():
+        for name in dir(kind) if kind.__module__.startswith("folicalc") else ():
+            if not name.startswith("_") and callable(method := getattr(value, name)):
+                yield f"{kind.__name__}.{name}", method
+    for _, kind in _public_callables():
+        for name in dir(kind) if isinstance(kind, type) else ():
+            if not name.startswith("_") and isinstance(
+                inspect.getattr_static(kind, name), (classmethod, staticmethod)
+            ):
+                yield f"{kind.__name__}.{name}", getattr(kind, name)
 
 
 def _raised_by_the_interpreter(error: TypeError) -> bool:
@@ -74,21 +92,32 @@ def _shown(args) -> str:
     return "(" + ", ".join(type(arg).__name__ for arg in args) + ")"
 
 
+def _leaks(name, call, arities):
+    # Every tuple of pool values of these lengths that call's signature binds.
+    signature = inspect.signature(call)
+    for arity in arities:
+        for args in itertools.product(POOL, repeat=arity):
+            try:
+                signature.bind(*args)
+            except TypeError:
+                continue
+            try:
+                call(*args)
+            except fc.FolicalcError:
+                pass
+            except Exception as error:  # noqa: BLE001 - the leak under test
+                yield f"{name}{_shown(args)}: {type(error).__name__}: {error}"
+
+
 def test_public_calls_raise_only_folicalc_errors():
-    leaks = []
-    for name, call, signature in _public_callables():
-        for arity in (1, 2, 3):
-            for args in itertools.product(POOL, repeat=arity):
-                try:
-                    signature.bind(*args)
-                except TypeError:
-                    continue
-                try:
-                    call(*args)
-                except fc.FolicalcError:
-                    pass
-                except Exception as error:  # noqa: BLE001 - the leak under test
-                    leaks.append(f"{name}{_shown(args)}: {type(error).__name__}: {error}")
+    leaks = [leak for name, call in _public_callables() for leak in _leaks(name, call, (1, 2, 3))]
+    assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:5]}"
+
+
+def test_public_methods_raise_only_folicalc_errors():
+    methods = dict(_public_methods())
+    assert {"Expression.substitute", "Expression.sum", "TransitionMap.identity"} <= set(methods)
+    leaks = [leak for name, call in methods.items() for leak in _leaks(name, call, (0, 1, 2))]
     assert not leaks, f"{len(leaks)} leaks, e.g. {leaks[:5]}"
 
 
@@ -173,6 +202,12 @@ def _document():
          "form_add needs a LeafwiseForm or ExteriorForm, not Expression"),
         (lambda: fc.extend_connection(LEAFWISE_CONNECTION, LEAFWISE_CONNECTION, SPLITTING),
          ChartMismatchError, "extend_connection needs a Connection, not LeafwiseConnection"),
+        (lambda: z1.substitute(None), InputError, "substitute needs a Mapping, not NoneType"),
+        (lambda: z1.evaluate(1.5), InputError, "evaluate needs a Mapping, not float"),
+        (lambda: Expression.sum(None), InputError, "sum needs an Iterable, not NoneType"),
+        (lambda: Expression.sum([z1], None), InputError, "sum needs an Iterable, not NoneType"),
+        (lambda: fc.TransitionMap.identity(None), ChartMismatchError,
+         "TransitionMap.identity needs an AdaptedChart, not NoneType"),
     ],
 )
 def test_wrong_operands_are_named(call, kind, message):
