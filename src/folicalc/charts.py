@@ -10,6 +10,11 @@ An index is a name or an int position on one axis of a chart.  `_position`
 resolves one index, and `_checked_entries` checks every entry a table, form
 or section constructor is given, so the text format reports the constructors'
 own errors at its tokens.
+
+The foliation predicates read which variables an expression holds: over an
+exact polynomial chart a leaf partial vanishes exactly when no term holds
+that leaf coordinate, so deciding that a function, a transition or a fibre
+transition is constant on leaves builds no derivative.
 """
 
 from __future__ import annotations
@@ -297,7 +302,7 @@ class TransitionMap(_Record):
 
 
 def _constant_on_leaves(exprs: Iterable[Expression], leaf_coords: tuple[str, ...]) -> bool:
-    return all(expr.partial(leaf).is_zero() for expr in exprs for leaf in leaf_coords)
+    return all(expr.variables().isdisjoint(leaf_coords) for expr in exprs)
 
 
 def check_adapted_transition(transition: TransitionMap, source: AdaptedChart) -> bool:
@@ -326,7 +331,8 @@ def check_foliated_bundle_transition(
 
 
 def is_foliated_function(f: Expression, chart: AdaptedChart) -> bool:
-    """True iff f is constant on leaves: every leaf partial vanishes."""
+    """True iff f is constant on leaves: every leaf partial vanishes, that
+    is, no leaf coordinate occurs in f."""
     _require("is_foliated_function", (f, Expression), (chart, AdaptedChart))
     _check_variables((f,), frozenset(chart.coords), "a function")
     return _constant_on_leaves((f,), chart.leaf_coords)

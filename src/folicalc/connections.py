@@ -194,14 +194,17 @@ def restrict_connection(connection: Connection) -> LeafwiseConnection:
 
 def _leaf_partials(section: BundleSection) -> dict[tuple[int, int], Expression]:
     # The nonzero leaf partials of the section's components, keyed
-    # (fibre, leaf): the table of its first leafwise jet.
+    # (fibre, leaf): the table of its first leafwise jet.  A partial is
+    # nonzero exactly along a leaf coordinate the component holds, so only
+    # those are built.
     leaves = section.chart.base.leaf_coords
-    return {
-        (fibre, leaf): derivative
-        for fibre, component in enumerate(section.components)
-        for leaf, name in enumerate(leaves)
-        if (derivative := component.partial(name))
-    }
+    table = {}
+    for fibre, component in enumerate(section.components):
+        held = component.variables()
+        for leaf, name in enumerate(leaves):
+            if name in held:
+                table[fibre, leaf] = component.partial(name)
+    return table
 
 
 def jet_prolongation(section: BundleSection) -> LeafwiseJetPoint:

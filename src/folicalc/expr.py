@@ -513,10 +513,6 @@ class Expression:
     def variables(self) -> frozenset[str]:
         return frozenset(v for mono in self._coeffs for v, _ in mono)
 
-    def total_degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max((sum(e for _, e in mono) for mono in self._coeffs), default=0)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Expression":
@@ -593,7 +589,11 @@ class Expression:
         return _reduced(out, self._den, self._den)
 
     def substitute(self, bindings: Mapping[str, "Expression | Scalar"]) -> "Expression":
-        """Simultaneous substitution of expressions for variables."""
+        """Simultaneous substitution of expressions for variables.
+
+        Each term keeps its unbound variables in its own monomial and is
+        multiplied only by the powers of its bound ones; a variable a
+        binding's value mentions is not substituted again."""
         if not isinstance(bindings, (dict, Mapping)):
             raise InputError(_needs("substitute", bindings, Mapping))
         _check_names(bindings)
@@ -605,12 +605,11 @@ class Expression:
             resolved[name] = coerced
         parts = []
         for mono, coeff in self._coeffs.items():
-            term = _reduced({(): coeff}, self._den, self._den)
+            free = tuple([pair for pair in mono if pair[0] not in resolved])
+            term = _reduced({free: coeff}, self._den, self._den)
             for name, exponent in mono:
-                factor = resolved.get(name)
-                if factor is None:
-                    factor = Expression.variable(name)
-                term = term * factor**exponent
+                if name in resolved:
+                    term = term * resolved[name] ** exponent
             parts.append(term)
         return Expression.sum(parts)
 

@@ -92,7 +92,7 @@ def extend_connection(
     _require("extend_connection", (a, LeafwiseConnection))
     chart = a.chart
     if reference is None:
-        reference = Connection(chart)
+        reference = Connection._build(chart, {})
     _require("extend_connection", (reference, Connection), (split, Splitting))
     if reference.chart != chart:
         raise ChartMismatchError("reference connection lives over a different chart")

@@ -231,16 +231,18 @@ def wedge(a: _Form, b: _Form) -> _Form:
 
 
 def _coboundary(form: _Form, index_range: int):
-    names = base_chart(form.chart).coords
+    """d(f dz_I) = sum of df/dz_j dz_j ^ dz_I over the first index_range
+    base coordinates z_j.  Only directions that f holds and I lacks are
+    differentiated; the others contribute zero."""
+    names = base_chart(form.chart).coords[:index_range]
     out: dict[tuple[int, ...], Expression] = {}
     for index, expr in form.components.items():
-        for direction in range(index_range):
-            derivative = expr.partial(names[direction])
-            if derivative.is_zero():
-                continue
-            merged, sign = merge_indices((direction,), index)
-            if merged is not None:
-                _add_into(out, {merged: derivative}, sign < 0)
+        held = expr.variables()
+        for direction, name in enumerate(names):
+            if name in held:
+                merged, sign = merge_indices((direction,), index)
+                if merged is not None:
+                    _add_into(out, {merged: expr.partial(name)}, sign < 0)
     return form._build(form.chart, form.degree + 1, out)
 
 

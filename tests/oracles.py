@@ -4,8 +4,9 @@ These deliberately take different computational routes: permutation signs by
 brute-force inversion counting, the wedge by the shuffle-sum over index
 splits, expression identities by exact evaluation at random rational
 points, parsed text by ring operations on its parse tree, the canonical
-term order by sorting exponent vectors, and the covariant differential and
-the soldering form by visiting every index slot of their tables.
+term order by sorting exponent vectors, the differentials by a partial along
+every direction, and the covariant differential and the soldering form by
+visiting every index slot of their tables.
 """
 
 from __future__ import annotations
@@ -51,6 +52,24 @@ def wedge_by_shuffles(a, b):
         if not total.is_zero():
             components[target] = total
     return type(a)(a.chart, degree, components)
+
+
+def differential_by_slots(form) -> dict:
+    """d of a form as {index: {monomial: Fraction}}: every coefficient's
+    partial along every direction of the form's kind, zero or not, added at
+    its sorted slot with the sign of permutation_sign (none on a repeat)."""
+    names = fc.base_chart(form.chart).coords
+    limit = form.chart.dim_leaf if isinstance(form, fc.LeafwiseForm) else form.chart.dim
+    parts = {}
+    for index, expr in form.components.items():
+        for direction in range(limit):
+            partial = dict_partial(dict(expr.terms), names[direction])
+            sign = permutation_sign((direction,) + index)
+            if sign:
+                slot = parts.setdefault(tuple(sorted((direction,) + index)), ([], []))
+                slot[sign < 0].append(partial)
+    out = {index: dict_sum(plus, minus) for index, (plus, minus) in parts.items()}
+    return {index: value for index, value in out.items() if value}
 
 
 def schoolbook_product(a, b) -> dict:

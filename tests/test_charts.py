@@ -99,3 +99,34 @@ def test_foliated_functions_form_a_subring():
         assert fc.is_foliated_function(g, chart)
         assert fc.is_foliated_function(f + g, chart)
         assert fc.is_foliated_function(f * g, chart)
+
+
+def test_foliated_function_agrees_with_leaf_partials():
+    # The predicate reads which variables f holds; the oracle builds every
+    # leaf partial.
+    rng = random.Random(29)
+    for _ in range(200):
+        chart = randgen.adapted_chart(rng)
+        f = randgen.expression(rng, chart.coords)
+        expected = all(f.partial(leaf).is_zero() for leaf in chart.leaf_coords)
+        assert fc.is_foliated_function(f, chart) == expected
+
+
+def test_foliation_predicates_build_no_partial(monkeypatch):
+    y1 = Expression.variable("y1")
+    bundle = BundleChart(CHART, ("y1",))
+    calls = []
+    real = Expression.partial
+
+    def counted(self, variable):
+        calls.append(variable)
+        return real(self, variable)
+
+    monkeypatch.setattr(Expression, "partial", counted)
+    assert fc.is_foliated_function(z3**2 + 1, CHART)
+    assert not fc.is_foliated_function(z1 * z3, CHART)
+    assert fc.check_adapted_transition(TransitionMap(CHART, (z1 + z3, z2, z3 + 1)), CHART)
+    assert not fc.check_adapted_transition(TransitionMap(CHART, (z1, z2, z3 + z2**2)), CHART)
+    assert fc.check_foliated_bundle_transition([z3 * y1], bundle)
+    assert not fc.check_foliated_bundle_transition([z1 * y1], bundle)
+    assert calls == []

@@ -5,6 +5,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+import folicalc as fc
+from folicalc import commands, extension, forms
 from folicalc.cli import main
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -92,6 +96,93 @@ def test_check_fails_on_non_adapted_transition(tmp_path, capsys):
     code, out, _ = run(capsys, "check", doc)
     assert code == 1
     assert "[fail] transition.t.adapted" in out
+
+
+# Faults injected below the verbs, one per check the verbs make, so that
+# every check is seen to fail: exit 1 and its [fail] line.
+_real_merge = forms.merge_indices
+_real_wedge = commands.wedge
+_real_apply_splitting = extension.apply_splitting
+
+
+def _unsigned_merge(left, right):
+    # dz_j ^ dz_I without the sign of the sorting permutation.
+    return _real_merge(left, right)[0], 1
+
+
+def _off_by_one_restriction(form):
+    # Keeps only indices below the last leaf coordinate.
+    cutoff = form.chart.dim_leaf - 1
+    kept = {index: c for index, c in form.components.items() if all(i < cutoff for i in index)}
+    return fc.LeafwiseForm._build(form.chart, form.degree, kept)
+
+
+def _soldering_without_leaf_slots(split, difference):
+    sigma = _real_apply_splitting(split, difference)
+    cutoff = sigma.chart.dim_leaf
+    kept = {key: c for key, c in sigma.coefficients.items() if key[1] >= cutoff}
+    return extension.SolderingForm._build(sigma.chart, kept)
+
+
+def _soldering_with_plus_sign(split, difference):
+    sigma = _real_apply_splitting(split, difference)
+    cutoff = sigma.chart.dim_leaf
+    flipped = {key: c if key[1] < cutoff else -c for key, c in sigma.coefficients.items()}
+    return extension.SolderingForm._build(sigma.chart, flipped)
+
+
+# d(z1*z2) = z2 ~dz1 + z1 ~dz2, whose two terms cancel in d^2 by their
+# signs, and w = z2 dz1, whose restriction keeps its only component.
+FAULT_DOC = "manifold { dim 3 leaf 2 coords z1 z2 z3 }\nform f { f = z1*z2 }\n" \
+    "exterior_form w { w[z1] = z2 }\n"
+
+INJECTED_FAULTS = [
+    # (module, name, fault, argv, the failing check)
+    (forms, "merge_indices", _unsigned_merge, ["check", FAULT_DOC], "form.f.d_squared"),
+    (commands, "restrict_form", _off_by_one_restriction, ["check", FAULT_DOC],
+     "exterior_form.w.restrict_commutes"),
+    (commands, "wedge", lambda a, b: _real_wedge(b, a), ["check", CALCULUS], "leibniz.phi.beta"),
+    (commands, "is_foliated_function",
+     lambda f, chart: f.variables().isdisjoint(chart.transverse_coords),
+     ["check", CALCULUS], "form.psi.foliated_kernel"),
+    (extension, "apply_splitting", _soldering_without_leaf_slots,
+     ["verify", WORKED, "--name", "A", "--name", "B"], "extension.round_trip"),
+    (extension, "apply_splitting", _soldering_with_plus_sign,
+     ["verify", WORKED, "--name", "A", "--name", "B", "--name", "B0"], "extension.dependence"),
+    (commands, "check_foliated_bundle_transition",
+     lambda components, chart: all(c.variables().isdisjoint(chart.base.coords) for c in components),
+     ["check", BUNDLE], "transition.twist.foliated_bundle"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, fault, argv, failing", INJECTED_FAULTS, ids=[f[-1] for f in INJECTED_FAULTS]
+)
+def test_each_check_fails_on_an_injected_fault(
+    tmp_path, monkeypatch, capsys, module, name, fault, argv, failing
+):
+    if FAULT_DOC in argv:
+        doc = tmp_path / "doc.fol"
+        doc.write_text(FAULT_DOC)
+        argv = [doc if arg == FAULT_DOC else arg for arg in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and f"[pass] {failing}" in out
+    monkeypatch.setattr(module, name, fault)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert f"[fail] {failing}" in out
+
+
+def test_check_builds_each_form_differential_once(monkeypatch):
+    # d^2, the foliated kernel, restriction and every Leibniz pair share it.
+    document = fc.parse_document(CALCULUS.read_text())
+    declared = [obj.value for obj in document.of_kind("form", "exterior_form")]
+    arguments = []
+    for name in ("leafwise_differential", "exterior_differential"):
+        real = getattr(commands, name)
+        monkeypatch.setattr(commands, name, lambda f, real=real: arguments.append(f) or real(f))
+    assert commands.run_command("check", document).ok
+    assert [sum(a is form for a in arguments) for form in declared] == [1] * len(declared)
 
 
 def test_json_and_text_verdicts_agree(capsys):

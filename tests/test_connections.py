@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -188,10 +189,14 @@ def test_chart_mismatch_raises():
 
 def _oracle_cases():
     # Random charts, sections and leafwise connections, a connection that
-    # is sometimes empty, and the coefficient u - z1 that vanishes along
-    # u = z1 in a slot where the section has no leaf partial.
+    # is sometimes empty, the coefficient u - z1 that vanishes along u = z1
+    # in a slot where the section has no leaf partial, and unbound base
+    # variables with high exponents beside the bound fibre one.
     yield LeafwiseConnection(CHART, {("u", "z2"): u - z1}), BundleSection(CHART, {"u": z1})
     yield LeafwiseConnection(CHART), BundleSection(CHART, {"u": z1 * z2})
+    high = Fraction(2, 3) * z1**9 * z3**7 * u**3 - 2 * u * z2**8 + z3**11
+    section = BundleSection(CHART, {"u": z1 * z2 - z3**2})
+    yield LeafwiseConnection(CHART, {("u", "z1"): high, ("u", "z2"): u**5}), section
     rng = random.Random(83)
     for _ in range(300):
         chart = randgen.bundle_chart(rng)

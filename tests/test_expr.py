@@ -763,6 +763,15 @@ def test_product_sums_match_summed_products(threshold, pairs, repeat):
 
 @settings(deadline=None)
 @given(tiny_factors, st.integers(0, 4), st.sampled_from(layout_names), tiny_factors, tiny_factors)
+# Unbound variables with high exponents stay in each term's monomial.
+@example(
+    a=Expression({
+        (("a_b", 9), ("x", 2), ("z1", 7)): Fraction(3, 4),
+        (("a_b", 11),): -2,
+        (("y", 12), ("z1", 1)): Fraction(5, 6),
+    }),
+    n=2, v="y", s=Expression({(("z1", 1),): Fraction(1, 2), (): 3}), t=Expression.variable("x"),
+)
 def test_power_partial_and_substitute_are_canonical(a, n, v, s, t):
     da = dict(a.terms)
     _assert_layout(a**n, oracles.dict_power(da, n))

@@ -204,6 +204,42 @@ def test_graded_leibniz_rule():
             assert differential(wedge(a, b)) == wedge(differential(a), b) + signed
 
 
+def test_differentials_match_the_slot_oracle():
+    rng = random.Random(67)
+    for _ in range(150):
+        chart = randgen.adapted_chart(rng)
+        for form, differential in (
+            (randgen.leafwise_form(rng, chart), leafwise_differential),
+            (randgen.exterior_form(rng, chart), exterior_differential),
+        ):
+            terms = {index: dict(c.terms) for index, c in differential(form).components.items()}
+            assert terms == oracles.differential_by_slots(form)
+
+
+def test_differential_builds_only_the_partials_it_needs(monkeypatch):
+    # A partial is built only along a coordinate the coefficient holds and
+    # its index lacks: one per component here, none for z1 dz1 or z2 dz1^dz2.
+    chart = AdaptedChart(("z1", "z2"), ("z3", "z4"))
+    z4 = Expression.variable("z4")
+    omega = ExteriorForm(
+        chart, 1, {("z1",): z3**2, ("z2",): z1 * z2, ("z3",): z4 - 1, ("z4",): z2}
+    )
+    sigma = ExteriorForm(chart, 2, {("z1", "z2"): z2**3, ("z3", "z4"): z1})
+    calls = []
+    real = Expression.partial
+
+    def counted(self, variable):
+        calls.append(variable)
+        return real(self, variable)
+
+    monkeypatch.setattr(Expression, "partial", counted)
+    exterior_differential(omega)
+    assert sorted(calls) == ["z1", "z2", "z3", "z4"]
+    calls.clear()
+    exterior_differential(sigma)
+    assert calls == ["z1"]
+
+
 # -- restriction ---------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI on every sample, and DSL table-block diagnostics.
+"""Golden outputs: the CLI on every sample, and the DSL's positioned diagnostics.
 
 `golden/cli_transcript.txt` records, for every sample, every verb and every
 `--name` set below, in text and `--json`, the exit code, stdout and stderr of
@@ -194,4 +194,63 @@ OBJECT_ERRORS = [
 def test_form_and_transition_block_diagnostics_are_unchanged(text, expected):
     with pytest.raises(fc.ParseError) as info:
         fc.parse_document(text)
+    assert str(info.value) == expected
+
+
+# The same for the document as a whole: the block list, the manifold and
+# bundle blocks' items, and the object blocks' kinds, names and charts,
+# plus what parse_expression finds after a complete expression.
+DOCUMENT_ERRORS = [
+    # parse_blocks
+    ("", "1:1: expected a block"),
+    ("  \n  # only a comment\n", "3:1: expected a block"),
+    # _build_chart: the manifold block
+    ("bundle { fibre u }", "1:1: a manifold block is required"),
+    (BASE + BASE, "2:1: duplicate manifold block"),
+    ("manifold { leaf 2 coords z1 z2 z3 z4 }", "1:1: manifold block needs a 'dim' item"),
+    ("manifold { dim 4 coords z1 z2 z3 z4 }", "1:1: manifold block needs a 'leaf' item"),
+    ("manifold { dim 4 leaf 2 }", "1:1: manifold block needs a 'coords' item"),
+    ("manifold { dim x leaf 2 coords z1 z2 z3 z4 }", "1:16: dim takes a number"),
+    ("manifold { dim 4 leaf y coords z1 z2 z3 z4 }", "1:23: leaf takes a number"),
+    ("manifold { dim 4 leaf 2 coords z1 z2 3 z4 }", "1:38: coords takes coordinate names"),
+    ("manifold { dim 4 leaf 0 coords z1 z2 z3 z4 }", "1:23: leaf dimension must be at least 1"),
+    ("manifold { dim 2 leaf 3 coords z1 z2 }", "1:23: leaf dimension exceeds dim"),
+    ("manifold { dim 3 leaf 2 coords z1 z2 z3 z4 }", "1:25: coords lists 4 names, dim is 3"),
+    ("manifold { dim 3 leaf 2 coords z1 z2 z1 }", "1:38: duplicate coordinate 'z1'"),
+    # _directive_map
+    ("manifold { dim 4 dim 4 leaf 2 coords z1 z2 z3 z4 }", "1:18: duplicate 'dim' item"),
+    ("manifold { dim 4 leaf 2 coords z1 z2 z3 z4 w[z1] = 1 }", "1:44: manifold block takes no assignments"),
+    (BASE + "bundle { dim 2 }", "2:10: unknown item 'dim' in bundle block"),
+    (BASE + "bundle { u[z1] = 1 }", "2:10: bundle block takes no assignments"),
+    # _build_chart: the bundle block
+    (BASE + "bundle { fibre u }\nbundle { fibre v }", "3:1: duplicate bundle block"),
+    (BASE + "bundle { }", "2:1: bundle block needs a 'fibre' item"),
+    (BASE + "bundle { fibre u 2 }", "2:18: fibre takes coordinate names"),
+    (BASE + "bundle { fibre z1 }", "2:16: fibre name 'z1' collides with a coordinate"),
+    (BASE + "bundle { fibre u u }", "2:18: fibre name 'u' collides with a coordinate"),
+    # _build_document
+    (BASE + "widget w { }", "2:1: unknown block kind 'widget'"),
+    (BASE + "form { }", "2:1: form block needs a name"),
+    (BASE + "form w { }\nsection w { }", "3:9: duplicate name 'w'"),
+    (BASE + "connection G { }", "2:1: a bundle block is required for a connection"),
+    (BASE + "leafwise_connection A { }", "2:1: a bundle block is required for a leafwise_connection"),
+    (BASE + "section s { }", "2:1: a bundle block is required for a section"),
+]
+
+
+@pytest.mark.parametrize("text, expected", DOCUMENT_ERRORS)
+def test_document_diagnostics_are_unchanged(text, expected):
+    with pytest.raises(fc.ParseError) as info:
+        fc.parse_document(text)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("z1 z2", "1:4: unexpected 'z2' after expression"),
+    ("z1)", "1:3: unexpected ')' after expression"),
+    ("z1 +\n  2 3", "2:5: unexpected '3' after expression"),
+])
+def test_trailing_expression_diagnostics_are_unchanged(text, expected):
+    with pytest.raises(fc.ParseError) as info:
+        fc.parse_expression(text)
     assert str(info.value) == expected
