@@ -3,7 +3,7 @@
 Grammar (whitespace-insensitive between tokens, '#' comments to end of line):
 
     document := block+
-    block    := kind name? '{' item* '}'
+    block    := ('manifold' | 'bundle') '{' item* '}' | kind name '{' item* '}'
     item     := key index* '=' expr | key value+
     index    := '[' identifier ']'
 
@@ -55,6 +55,9 @@ optional '-' and up to 32 factors joined by '*', each a number, `a/b`,
 spaces or tabs may surround the '+' or '-' before it.  Each scanned term's
 factors are split from its match string and folded as above, a parenthesised
 number as a number with its sign, and the entries are summed in one pass.
+Each distinct factor text, its minus signs included, is converted once per
+parse through a table the parser holds for that call (a 1,000-term
+coefficient has ~5,000 factors, ~40 distinct); one that fails is not kept.
 The scan stops before the first term that is followed, past any whitespace,
 by '^', '/', '*', '(' or a comment, or that holds a literal past the int/str
 digit limit or a zero denominator, or more factors; the next token is then
@@ -190,21 +193,21 @@ def _fold(factors: Iterable[tuple]) -> tuple[tuple, int, int]:
     return tuple(sorted(exponents.items())), numerator // g, denominator // g
 
 
-def _scanned_factors(body: str, negations: int) -> Iterator[tuple]:
-    # A scanned term's factors for _fold.  ValueError where the token path
-    # would raise: a literal past the int/str digit limit or a zero
-    # denominator.
-    for factor in body.split("*"):
-        base, _, power = factor.partition("^")
-        if base[0] > "9":  # a name: letters and '_' sort after digits and '('
-            divisor = 1
-        else:
-            base, _, divisor = base.strip("()").partition("/")
-            base, divisor = int(base), int(divisor or 1)
-            if not divisor:
-                raise ValueError(factor)
-        yield base, divisor, int(power or 1), negations
-        negations = 0
+def _scanned_factor(factor: str) -> tuple:
+    # One scanned factor's text, with the minus signs before it, for _fold.
+    # ValueError where the token path would raise: a literal past the int/str
+    # digit limit or a zero denominator.
+    base = factor.lstrip("-")
+    negations = len(factor) - len(base)
+    base, _, power = base.partition("^")
+    if base[0] > "9":  # a name: letters and '_' sort after digits and '('
+        divisor = 1
+    else:
+        base, _, divisor = base.strip("()").partition("/")
+        base, divisor = int(base), int(divisor or 1)
+        if not divisor:
+            raise ValueError(factor)
+    return base, divisor, int(power or 1), negations
 
 
 class _Parser:
@@ -213,6 +216,7 @@ class _Parser:
         self.text = text
         self.token = _token_at(text, 0)  # the current token, not yet consumed
         self.depth = 0
+        self.factor_table: dict[str, tuple] = {}  # _scanned_factor by text
 
     def advance(self) -> Token:
         # Consume the current token and read the next one at once, so any
@@ -258,21 +262,27 @@ class _Parser:
 
     def _scan_terms(self, added: list):
         # The sum of the leading run of flat terms, one _TERM_RE match and
-        # one _fold entry each (see the module docstring), goes to added;
-        # the next token is then read after the last of them.
-        text, pos = self.text, self.token.offset
+        # one _fold entry each, their factors converted once per distinct
+        # text (see the module docstring), goes to added; the next token is
+        # then read after the last of them.
+        text, pos, table = self.text, self.token.offset, self.factor_table
         entries = []
         while match := _TERM_RE.match(text, pos):
             op, sign, body = match.groups("")
-            negations = len(sign)
             if not entries:  # the first term: its operator is a leading '-'
-                negations, op = negations + len(op), "+"
+                sign, op = op + sign, "+"
             elif not op:
                 break
+            factors = []
             try:
-                monomial, numerator, denominator = _fold(_scanned_factors(body, negations))
+                for factor in (sign + body).split("*"):
+                    converted = table.get(factor)
+                    if converted is None:
+                        converted = table[factor] = _scanned_factor(factor)
+                    factors.append(converted)
             except ValueError:
                 break
+            monomial, numerator, denominator = _fold(factors)
             entries.append((monomial, numerator if op == "+" else -numerator, denominator))
             pos = match.end()
         if entries:
@@ -481,6 +491,15 @@ class Document(_Record):
         _set(self, "chart", chart)
         _set(self, "objects", objects)
 
+    @staticmethod
+    def _build(chart: Chart, objects: tuple[DocumentObject, ...]) -> "Document":
+        # The internal constructor, for objects _build_document has checked
+        # block by block; the checks above would only repeat its own.
+        document = object.__new__(Document)
+        _set(document, "chart", chart)
+        _set(document, "objects", objects)
+        return document
+
     @property
     def base(self) -> AdaptedChart:
         return base_chart(self.chart)
@@ -546,6 +565,8 @@ def _build_chart(blocks: list[RawBlock]) -> Chart:
         extra = manifolds[1].kind
         raise _error_at(extra, "duplicate manifold block")
     manifold = manifolds[0]
+    if manifold.name is not None:
+        raise _error_at(manifold.name, "a manifold block takes no name")
     directives = _directive_map(manifold, ("dim", "leaf", "coords"))
     for required in ("dim", "leaf", "coords"):
         if required not in directives:
@@ -577,6 +598,8 @@ def _build_chart(blocks: list[RawBlock]) -> Chart:
     if not bundles:
         return base
     bundle = bundles[0]
+    if bundle.name is not None:
+        raise _error_at(bundle.name, "a bundle block takes no name")
     fibre_directives = _directive_map(bundle, ("fibre",))
     if "fibre" not in fibre_directives:
         raise _error_at(bundle.kind, "bundle block needs a 'fibre' item")
@@ -716,7 +739,7 @@ def _build_document(blocks: list[RawBlock]) -> Document:
             raise _error_at(block.kind, f"a bundle block is required for a {kind}")
         value = _build_object(block, name, kind, chart)
         objects.append(DocumentObject(kind, name, value))
-    return Document(chart, tuple(objects))
+    return Document._build(chart, tuple(objects))
 
 
 # -- canonical printing -----------------------------------------------------------

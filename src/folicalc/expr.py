@@ -652,47 +652,54 @@ class Expression:
 
     def __str__(self) -> str:
         # From the int numerators: each term's sign is its numerator's, and
-        # its magnitude over _den is reduced by one gcd.
+        # its magnitude over _den is reduced by one gcd.  Each distinct
+        # (name, exponent) pair is written once per call.
         if not self._coeffs:
             return "0"
         den = self._den
+        texts: dict[tuple[str, int], str] = {}
         parts = []
-        for position, (_, mono, num) in enumerate(_ordered(self._coeffs)):
+        for _, mono, num in _ordered(self._coeffs):
+            factors = []
+            for pair in mono:
+                text = texts.get(pair)
+                if text is None:
+                    name, exponent = pair
+                    text = texts[pair] = name if exponent == 1 else f"{name}^{exponent}"
+                factors.append(text)
             magnitude = -num if num < 0 else num
-            g = math.gcd(magnitude, den)
-            body = _term_text(mono, magnitude // g, den // g)
-            if position == 0:
-                if num < 0:
-                    # A leading "-" must not attach to a powered factor:
-                    # "-z1^2" would read back as (-z1)^2 under the grammar.
-                    if magnitude == den and mono and mono[0][1] > 1:
-                        body = "1*" + body
-                    parts.append("-" + body)
-                else:
-                    parts.append(body)
-            else:
+            if magnitude != den or not mono:
+                g = math.gcd(magnitude, den)
+                factors.insert(0, _coefficient_text(magnitude // g, den // g))
+            body = "*".join(factors)
+            if parts:
                 parts.append((" - " if num < 0 else " + ") + body)
+            elif num < 0:
+                # A leading "-" must not attach to a powered factor:
+                # "-z1^2" would read back as (-z1)^2 under the grammar.
+                if magnitude == den and mono and mono[0][1] > 1:
+                    body = "1*" + body
+                parts.append("-" + body)
+            else:
+                parts.append(body)
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Expression({str(self)!r})"
 
 
-def _term_text(mono: Monomial, num: int, den: int) -> str:
-    # One term's text, for a reduced magnitude num/den.
-    factors = [v if e == 1 else f"{v}^{e}" for v, e in mono]
-    if num != den or not mono:
-        try:
-            factors.insert(0, str(num) if den == 1 else f"{num}/{den}")
-        except ValueError:
-            # Past the interpreter's int/str digit limit.  The parser rejects
-            # literals that long, so printing one would break the print->parse
-            # fixpoint; the limit stays and the caller gets an input error.
-            raise InputError(
-                f"cannot print a coefficient of {_decimal_digits(max(num, den))} "
-                f"digits (the limit is {sys.get_int_max_str_digits()})"
-            ) from None
-    return "*".join(factors)
+def _coefficient_text(num: int, den: int) -> str:
+    # A term's reduced magnitude num/den as a literal.
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        # Past the interpreter's int/str digit limit.  The parser rejects
+        # literals that long, so printing one would break the print->parse
+        # fixpoint; the limit stays and the caller gets an input error.
+        raise InputError(
+            f"cannot print a coefficient of {_decimal_digits(max(num, den))} "
+            f"digits (the limit is {sys.get_int_max_str_digits()})"
+        ) from None
 
 
 def _decimal_digits(n: int) -> int:

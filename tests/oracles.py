@@ -4,7 +4,8 @@ These deliberately take different computational routes: permutation signs by
 brute-force inversion counting, the wedge by the shuffle-sum over index
 splits, expression identities by exact evaluation at random rational
 points, parsed text by ring operations on its parse tree, the canonical
-term order by sorting exponent vectors, the differentials by a partial along
+term order by sorting exponent vectors, printed text term by term from
+that order and Fractions, the differentials by a partial along
 every direction, and the covariant differential and the soldering form by
 visiting every index slot of their tables.
 """
@@ -97,6 +98,31 @@ def canonical_order(expr) -> list:
         return sum(vector), vector
 
     return sorted(monomials, key=degree_and_vector, reverse=True)
+
+
+def printed(expr) -> str:
+    """The canonical text of expr, term by term in canonical_order.
+
+    Each coefficient is a Fraction; its magnitude is written unless it is 1
+    on a nonconstant term, and each name with ^e unless e is 1.  The lead
+    term takes a bare '-', with "1*" before a powered first factor (-z1^2
+    would read as (-z1)^2); later terms are joined by " + " or " - ".
+    """
+    coefficients = dict(expr.terms)
+    parts = []
+    for mono in canonical_order(expr):
+        coeff = coefficients[mono]
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in sorted(mono)]
+        if abs(coeff) != 1 or not mono:
+            factors.insert(0, str(abs(coeff)))
+        elif coeff < 0 and not parts and "^" in factors[0]:
+            factors.insert(0, "1")
+        body = "*".join(factors)
+        if parts:
+            parts.append((" - " if coeff < 0 else " + ") + body)
+        else:
+            parts.append("-" + body if coeff < 0 else body)
+    return "".join(parts) or "0"
 
 
 # -- ring operations on {monomial: Fraction} dicts --------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -15,6 +16,7 @@ import folicalc as fc
 from folicalc import Expression, dsl, parse_document, print_document
 
 import faults
+import oracles
 import randgen
 from test_expr import _assert_canonical
 
@@ -612,6 +614,101 @@ def test_groups_the_scanner_leaves_to_the_token_path(monkeypatch, text, expected
 )
 def test_scanned_readings(text, expected):
     assert str(fc.parse_expression(text)) == expected
+
+
+# -- the scanner's factor table ------------------------------------------------
+#
+# The scanner converts each distinct factor text, the minus signs before it
+# included, once per parse.  Sums that reuse a few factor texts must read as
+# the token path and the ring-op oracle read them.
+
+# Factor texts with their parse-tree bases and powers (oracles.parse_tree_value).
+_POOL = {
+    "z1": (("var", "z1"), None),
+    "z1^2": (("var", "z1"), 2),
+    "z1^3": (("var", "z1"), 3),
+    "z2^0": (("var", "z2"), 0),
+    "3/7": (("num", 3, 7), None),
+    "(3/4)": (("num", 3, 4), None),
+    "(-1/2)^3": (("group", ([(1, ("num", 1, 2), None)], [])), 3),
+}
+
+
+@st.composite
+def _pooled_sums(draw):
+    # (text, parse tree) of a flat sum over _POOL: each term an operator, a
+    # run of 0 to 2 minus signs before its first factor, and 1 to 4 factors,
+    # as in -z1^3 - -z1^3.  The first term's operator is not written.
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from("+-"),
+        st.integers(0, 2),
+        st.lists(st.sampled_from(sorted(_POOL)), min_size=1, max_size=4),
+    ), min_size=1, max_size=12))
+    text, first, rest = "", None, []
+    for op, minus, factors in terms:
+        tree = [(0, *_POOL[factor]) for factor in factors]
+        tree[0] = (minus, *_POOL[factors[0]])
+        body = "-" * minus + "*".join(factors)
+        if first is None:
+            text, first = body, tree
+        else:
+            text += f" {op} {body}"
+            rest.append((op, tree))
+    return text, (first, rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pooled_sums())
+def test_factor_table_keeps_every_value(sum_and_tree):
+    text, tree = sum_and_tree
+    value = fc.parse_expression(text)
+    # Inside a group every term is read by the token path.
+    assert value == fc.parse_expression("(" + text + ")"), text
+    assert value == oracles.parse_tree_value(tree), text
+
+
+_TOO_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+_DIGITS = f"integer literal has too many digits ({len(_TOO_LONG)})"
+
+
+@pytest.mark.parametrize(
+    "parse, text, expected",
+    [
+        # A factor that fails to convert, after valid terms that reuse
+        # factors, and again after it: the first is reported.
+        (fc.parse_expression, "z1 + 3/7*z1^2 - 1/0*z1 + 3/7 - 1/0",
+         ("denominator must be positive", 1, 19)),
+        (fc.parse_expression, "-(3/4)*z1 + z1\n- 1/0 + z1 - 1/0",
+         ("denominator must be positive", 2, 5)),
+        (fc.parse_expression, "(-1/2)^3*z1 - (1/0) + (1/0)",
+         ("denominator must be positive", 1, 18)),
+        (fc.parse_expression, f"3/7 + {_TOO_LONG} + 3/7 - {_TOO_LONG}", (_DIGITS, 1, 7)),
+        (fc.parse_expression, f"z1 - z1^2 + z1^{_TOO_LONG} - z1^{_TOO_LONG}",
+         (_DIGITS, 1, 16)),
+        # One table serves every assignment of a document.
+        (parse_document,
+         MINIMAL + "\nform w {\n  w[z1] = 3/7*z1 + 1/2\n  w[z2] = 3/7*z1 - 1/0 + 1/2\n}",
+         ("denominator must be positive", 4, 22)),
+    ],
+)
+def test_factor_table_keeps_every_diagnostic(monkeypatch, parse, text, expected):
+    assert _both_paths(monkeypatch, parse, text) == (expected, expected)
+
+
+def test_a_parsed_document_is_checked_once(monkeypatch):
+    # _build_document checks each block as it builds it, so the parsed
+    # Document does not run its constructor's checks again; the public
+    # constructor still does.
+    calls = {"_transition_entries": 0, "_checked_entries": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(dsl, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(dsl, name, counted)
+    document = parse_document(SAMPLES[0].with_name("foliated_bundle.fol").read_text())
+    assert calls == {"_transition_entries": 1, "_checked_entries": 3}
+    assert fc.Document(document.chart, document.objects) == document
+    assert calls == {"_transition_entries": 2, "_checked_entries": 9}
 
 
 def test_scanner_memory_is_bounded():

@@ -479,6 +479,27 @@ def test_terms_follow_the_canonical_order_oracle(width, a, b):
         expr_module._ORDER_KEY_BITS = saved
 
 
+# Terms over three names with exponents 1 to 3, so that terms share their
+# (name, exponent) pairs, and coefficients with denominators past 1.
+printed_monomials = st.builds(
+    lambda d: tuple(sorted(d.items())),
+    st.dictionaries(st.sampled_from(("z1", "z2", "a_b")), st.integers(1, 3), max_size=3),
+)
+printed_coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@example([((("z1", 2),), Fraction(-1))])  # -1*z1^2
+@example([((("z1", 2), ("z2", 1)), Fraction(-1)), ((("z2", 1),), Fraction(1, 2))])
+@example([((), Fraction(-5, 3))])  # a lone constant
+@example([])  # zero
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(printed_monomials, printed_coefficients), max_size=12))
+def test_printing_matches_the_printed_oracle(terms):
+    e = Expression(dict(terms))
+    for value in (e, e * e - 1):
+        assert str(value) == oracles.printed(value)
+
+
 def _wide_sums():
     # 2,000 terms over 2,000 variables with exponents near 2**64: packed
     # keys would be ~130,000 bits wide.

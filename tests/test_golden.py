@@ -217,6 +217,7 @@ DOCUMENT_ERRORS = [
     ("manifold { dim 2 leaf 3 coords z1 z2 }", "1:23: leaf dimension exceeds dim"),
     ("manifold { dim 3 leaf 2 coords z1 z2 z3 z4 }", "1:25: coords lists 4 names, dim is 3"),
     ("manifold { dim 3 leaf 2 coords z1 z2 z1 }", "1:38: duplicate coordinate 'z1'"),
+    ("manifold M { dim 2 leaf 1 coords z1 z2 }", "1:10: a manifold block takes no name"),
     # _directive_map
     ("manifold { dim 4 dim 4 leaf 2 coords z1 z2 z3 z4 }", "1:18: duplicate 'dim' item"),
     ("manifold { dim 4 leaf 2 coords z1 z2 z3 z4 w[z1] = 1 }", "1:44: manifold block takes no assignments"),
@@ -228,6 +229,7 @@ DOCUMENT_ERRORS = [
     (BASE + "bundle { fibre u 2 }", "2:18: fibre takes coordinate names"),
     (BASE + "bundle { fibre z1 }", "2:16: fibre name 'z1' collides with a coordinate"),
     (BASE + "bundle { fibre u u }", "2:18: fibre name 'u' collides with a coordinate"),
+    (BASE + "bundle E { fibre u }", "2:8: a bundle block takes no name"),
     # _build_document
     (BASE + "widget w { }", "2:1: unknown block kind 'widget'"),
     (BASE + "form { }", "2:1: form block needs a name"),
