@@ -4,7 +4,8 @@ Each verb resolves named objects from a parsed document, runs the matching
 library operations, and returns a Report whose entries are deterministic in
 document order.  Input problems (unknown names, kind mismatches) raise
 InputError; a returned Report with a failing check means a mathematical
-check did not hold.
+check did not hold.  `verify` builds each named splitting's extension once
+and reads the round trip and the dependence from those extensions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .connections import (
 )
 from .dsl import DeclaredTransition, Document, DocumentObject
 from .errors import InputError
-from .extension import Splitting, extend_connection, extension_dependence
+from .extension import Splitting, _dependence, extend_connection
 from .expr import _product_sum
 from .forms import (
     exterior_differential,
@@ -226,6 +227,8 @@ def _pick_extension_inputs(document: Document, names, verb: str, max_splittings:
         raise InputError(f"{verb} needs a leafwise_connection --name")
     if not splittings:
         raise InputError(f"{verb} needs a splitting --name")
+    if reference is None:  # the zero connection, as in extend_connection
+        reference = Connection._build(leafwise.chart, {})
     return leafwise, reference, splittings
 
 
@@ -241,35 +244,22 @@ def _run_verify(document: Document, names) -> list[CheckResult]:
     leafwise, reference, splittings = _pick_extension_inputs(
         document, names, "verify", max_splittings=2
     )
-    extended = extend_connection(leafwise, reference, splittings[0])
-    results = [
-        CheckResult(
-            "extension.round_trip",
-            _status(restrict_connection(extended) == leafwise),
-            _payload_lines("Gamma'", extended),
-        )
-    ]
-    if len(splittings) == 2:
-        delta = extension_dependence(leafwise, reference, splittings[0], splittings[1])
-        cutoff = delta.chart.dim_leaf
-        leaf_zero = all(coord >= cutoff for _, coord in delta.coefficients)
-        formula_ok = _dependence_matches(leafwise, reference, splittings, delta)
-        results.append(
-            CheckResult(
-                "extension.dependence",
-                _status(leaf_zero and formula_ok),
-                _payload_lines("Delta", delta),
-            )
-        )
+    # Each splitting's extension, built once; with two, Delta is their difference.
+    first, *other = [extend_connection(leafwise, reference, split) for split in splittings]
+    round_trip = _status(restrict_connection(first) == leafwise)
+    results = [CheckResult("extension.round_trip", round_trip, _payload_lines("Gamma'", first))]
+    if other:
+        delta = _dependence(first, *other)
+        leaf_zero = all(coord >= delta.chart.dim_leaf for _, coord in delta.coefficients)
+        shape = _status(leaf_zero and _dependence_matches(leafwise, reference, splittings, delta))
+        results.append(CheckResult("extension.dependence", shape, _payload_lines("Delta", delta)))
     return results
 
 
 def _dependence_matches(leafwise, reference, splittings, delta) -> bool:
     # Transverse entries must equal -(B1-B2)[alpha][A] * Q[i][alpha], summed
-    # over the leaf index.
+    # over the leaf index: a dense check that builds no extension.
     chart = delta.chart
-    if reference is None:
-        reference = Connection._build(chart, {})
     difference = connection_difference(leafwise, restrict_connection(reference))
     first, second = splittings
     for fibre in range(chart.fibre_dim):

@@ -44,7 +44,10 @@ one {name: exponent} map, and no ring operation runs.  Negation sits inside
 `^`: `-x^n` reads as `(-x)^n`, so a run of minus signs before a factor is
 just the sign (-1)^(minus signs * n) of the whole term, and `-z1^2` is
 `z1^2`.  A `^0` factor is 1, whatever its base (`0^0` included).  A group
-is always an expression, raised to its power and multiplied in.
+whose value is a number folds as that number; any other group is raised to
+its power and multiplied in.  A number factor that would take the term's
+numerator or denominator past a fixed bit limit is refused, before its
+power or product is computed, with a ParseError at the factor.
 
 Canonical sums are read a term at a time.  At nesting depth 0 (an
 assignment's right-hand side, or a standalone expression) whose first token
@@ -60,11 +63,11 @@ parse through a table the parser holds for that call (a 1,000-term
 coefficient has ~5,000 factors, ~40 distinct); one that fails is not kept.
 The scan stops before the first term that is followed, past any whitespace,
 by '^', '/', '*', '(' or a comment, or that holds a literal past the int/str
-digit limit or a zero denominator, or more factors; the next token is then
-read at the offset after the last scanned term.  A scanned span reads to the
-same value as the token path would, so the token path still makes every
-diagnostic.  A diagnostic's line and column are counted from the text when
-the error is raised.
+digit limit, a zero denominator or a number past the bit limit, or more
+factors; the next token is then read at the offset after the last scanned
+term.  A scanned span reads to the same value as the token path would, so
+the token path still makes every diagnostic.  A diagnostic's line and
+column are counted from the text when the error is raised.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ from .extension import Splitting
 from .forms import ExteriorForm, LeafwiseForm
 
 _MAX_NESTING = 64
+# The bits a term's folded numerator or denominator may reach; see _fold.
+_MAX_TERM_BITS = 1 << 20
 
 # The next comment or token after any whitespace.  The last alternative
 # matches the end of the text, so no match backtracks into the whitespace.
@@ -179,12 +184,24 @@ def _fold(factors: Iterable[tuple]) -> tuple[tuple, int, int]:
     # negations) with base an int or a name, as one reduced (monomial,
     # numerator, denominator) entry; see the module docstring.  The factors
     # are read one at a time, so a term of any length folds in bounded space.
+    # ValueError, before it is computed, for a number factor that would take
+    # the numerator or denominator past _MAX_TERM_BITS.  With n and b
+    # nonzero, n * b**p has at least n.bit_length() + p * (b.bit_length() - 1)
+    # bits.  The bound is kept in integers, so a power of any size is checked
+    # at once; for b = 0 or +-1 it adds no bits, so those powers never trip
+    # it.  Every number factor is checked, a number group's too, so no
+    # grouping gets round the limit.
     numerator = denominator = 1
+    limit = _MAX_TERM_BITS
     exponents: dict[str, int] = {}
     for base, divisor, power, negations in factors:
         if negations & power & 1:
             numerator = -numerator
         if isinstance(base, int):
+            if (numerator.bit_length() + power * (abs(base).bit_length() - 1) > limit
+                    or denominator.bit_length() + power * (divisor.bit_length() - 1) > limit):
+                raise ValueError(f"number too large: the term's coefficient would pass "
+                                 f"{_MAX_TERM_BITS} bits")
             numerator *= base**power
             denominator *= divisor**power
         elif power:
@@ -280,9 +297,9 @@ class _Parser:
                     if converted is None:
                         converted = table[factor] = _scanned_factor(factor)
                     factors.append(converted)
+                monomial, numerator, denominator = _fold(factors)
             except ValueError:
                 break
-            monomial, numerator, denominator = _fold(factors)
             entries.append((monomial, numerator if op == "+" else -numerator, denominator))
             pos = match.end()
         if entries:
@@ -293,15 +310,20 @@ class _Parser:
         # One _fold entry for the number and name factors (see the module
         # docstring), times the groups.
         groups = []
-        monomial, numerator, denominator = _fold(self._factors(groups))
+        try:
+            monomial, numerator, denominator = _fold(self._factors(groups))
+        except ValueError as error:  # at the number factor _fold refused
+            self.error(str(error), self.factor)
         term = Expression._build({monomial: numerator} if numerator else {}, denominator)
         for group in groups if numerator else ():
             term = term * group
         return term
 
     def _factors(self, groups: list) -> Iterator[tuple]:
-        # The term's factors for _fold, as they are read.  A group goes to
-        # groups, raised to its power, and yields only its sign.
+        # The term's factors for _fold, as they are read, each one's token
+        # after its minus signs kept as self.factor.  A group that is a
+        # number is yielded as one; any other goes to groups, raised to its
+        # power, and yields only its sign.
         while True:
             negations = 0
             while self.token.kind == "-":
@@ -336,10 +358,14 @@ class _Parser:
                 self.advance()
                 power = _integer(self.current("number", "a natural number exponent"))
                 self.advance()
-            if kind == "(":
+            if kind == "(" and group.variables():
                 if power:
                     groups.append(group if power == 1 else group**power)
                 base = 1
+            elif kind == "(":
+                value = group.evaluate({})
+                base, divisor = value.numerator, value.denominator
+            self.factor = token
             yield base, divisor, power, negations
             if self.token.kind != "*":
                 break

@@ -7,7 +7,9 @@ sequence (turning it into a soldering form over the whole base), and add the
 result to the reference.  The leaf-indexed coefficients of the output are
 the given leafwise coefficients verbatim, so restricting the extension
 always recovers the input; verify_extension checks exactly that and exists
-as an executable witness of the statement.
+as an executable witness of the statement.  extension_dependence subtracts
+the extensions of two splittings in _dependence, which the `verify` command
+applies to the two extensions it has built.
 
 Splittings and soldering forms are coefficient tables of the one type in
 connections.py.  A splitting lives over the adapted base chart, with leaf
@@ -124,6 +126,9 @@ def extension_dependence(
     how the extension depends on the choice of splitting.
     """
     first = extend_connection(a, reference, split_one)
-    second = extend_connection(a, reference, split_two)
+    return _dependence(first, extend_connection(a, reference, split_two))
+
+
+def _dependence(first: Connection, second: Connection) -> SolderingForm:
     table = _add_into(dict(first.coefficients), second.coefficients, negate=True)
     return SolderingForm._build(first.chart, table)

@@ -6,8 +6,9 @@ splits, expression identities by exact evaluation at random rational
 points, parsed text by ring operations on its parse tree, the canonical
 term order by sorting exponent vectors, printed text term by term from
 that order and Fractions, the differentials by a partial along
-every direction, and the covariant differential and the soldering form by
-visiting every index slot of their tables.
+every direction, the covariant differential and the soldering form by
+visiting every index slot of their tables, and the pullback of a form along
+a change of chart by the chain rule with Jacobian minors.
 """
 
 from __future__ import annotations
@@ -282,3 +283,31 @@ def _term_value(factors) -> fc.Expression:
             factor = factor**power
         value = value * factor
     return value
+
+
+def pullback(form, components):
+    """The pullback of a form along the chart map z -> components, where
+    components[j] is the new value of the chart's j-th base coordinate.
+
+    Each coefficient is substituted, and dz^I becomes the sum over target
+    indices J of the Jacobian minor det(d components[I] / d z_J) dz^J, each
+    minor expanded over the permutations of J from Expression.partial.  A
+    LeafwiseForm is pulled back by the leaf block of the Jacobian only,
+    which is its pullback when the map is adapted.
+    """
+    names = fc.base_chart(form.chart).coords
+    limit = form.chart.dim_leaf if isinstance(form, fc.LeafwiseForm) else form.chart.dim
+    bindings = dict(zip(names, components))
+    jacobian = [[components[i].partial(names[j]) for j in range(limit)] for i in range(limit)]
+    out = {}
+    for index, coefficient in form.components.items():
+        pulled = coefficient.substitute(bindings)
+        for target in itertools.combinations(range(limit), form.degree):
+            minor = fc.Expression.zero()
+            for columns in itertools.permutations(target):
+                term = fc.Expression.constant(permutation_sign(columns))
+                for row, column in zip(index, columns):
+                    term = term * jacobian[row][column]
+                minor = minor + term
+            out[target] = out.get(target, fc.Expression.zero()) + pulled * minor
+    return type(form)(form.chart, form.degree, out)

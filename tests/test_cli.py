@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,16 +175,98 @@ def test_each_check_fails_on_an_injected_fault(
     assert f"[fail] {failing}" in out
 
 
-def test_check_builds_each_form_differential_once(monkeypatch):
-    # d^2, the foliated kernel, restriction and every Leibniz pair share it.
-    document = fc.parse_document(CALCULUS.read_text())
+# What each verb builds, on every sample: check on each of them, each
+# sample's `# Run:` lines and README's examples.  A column counts the calls
+# of one builder, wherever the package calls it: parse_document; the entry
+# checks that parsing runs once per block (_checked_entries for each object
+# and transition component, _transition_entries for each transition, so a
+# parsed document is not checked a second time); the leafwise and exterior
+# differentials; restrict_form; wedge; restrict_connection;
+# connection_difference; extend_connection.
+BUILDERS = (
+    (fc.dsl, "parse_document"), (fc.charts, "_checked_entries"),
+    (fc.dsl, "_transition_entries"), (forms, "leafwise_differential"),
+    (forms, "exterior_differential"), (forms, "restrict_form"), (forms, "wedge"),
+    (fc.connections, "restrict_connection"), (fc.connections, "connection_difference"),
+    (extension, "extend_connection"),
+)
+BUILD_TABLE = {
+    # command, without --json: counts in BUILDERS' order
+    "check samples/foliated_bundle.fol":
+        (1, 7, 1, 0, 0, 0, 0, 0, 0, 0),
+    "check samples/leafwise_calculus.fol":
+        (1, 8, 1, 20, 7, 4, 39, 0, 0, 0),
+    "check samples/worked_extension.fol":
+        (1, 3, 0, 0, 0, 0, 0, 0, 0, 0),
+    "diff samples/leafwise_calculus.fol --name phi":
+        (1, 8, 1, 1, 0, 0, 0, 0, 0, 0),
+    "extend samples/foliated_bundle.fol --name A --name Gamma --name B":
+        (1, 7, 1, 0, 0, 0, 0, 1, 1, 1),
+    "extend samples/worked_extension.fol --name A --name B":
+        (1, 3, 0, 0, 0, 0, 0, 1, 1, 1),
+    "restrict samples/foliated_bundle.fol --name Gamma":
+        (1, 7, 1, 0, 0, 0, 0, 1, 0, 0),
+    "restrict samples/leafwise_calculus.fol --name sigma":
+        (1, 8, 1, 0, 0, 1, 0, 0, 0, 0),
+    "verify samples/foliated_bundle.fol --name A --name Gamma --name B":
+        (1, 7, 1, 0, 0, 0, 0, 2, 1, 1),
+    "verify samples/worked_extension.fol --name A --name B --name B0":
+        (1, 3, 0, 0, 0, 0, 0, 4, 3, 2),
+    "wedge samples/leafwise_calculus.fol --name alpha --name beta":
+        (1, 8, 1, 0, 0, 0, 1, 0, 0, 0),
+}
+
+
+def _sample_commands() -> list[str]:
+    # The `folicalc <verb> ...` lines of each sample's `# Run:` block and of
+    # the README, and check on every sample.
+    root = SAMPLES.parent
+    texts = [path.read_text() for path in sorted(SAMPLES.glob("*.fol"))]
+    lines = [line.removeprefix("#").strip() for text in texts for line in text.splitlines()]
+    lines += (root / "README.md").read_text().splitlines()
+    lines += [f"folicalc check samples/{path.name}" for path in sorted(SAMPLES.glob("*.fol"))]
+    runs = {" ".join(words[1:]) for words in map(str.split, lines)
+            if len(words) > 1 and words[0] == "folicalc" and words[1] in commands.VERBS}
+    return sorted(runs)
+
+
+def test_build_table_has_a_row_per_sample_command():
+    assert sorted(BUILD_TABLE) == sorted(c.replace(" --json", "") for c in _sample_commands())
+
+
+@pytest.mark.parametrize("command", _sample_commands())
+def test_each_verb_builds_what_it_needs_once(monkeypatch, capsys, command):
+    calls = {name: [] for _, name in BUILDERS}
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "folicalc"]
+    for home, name in BUILDERS:
+        real = getattr(home, name)
+
+        def counted(*args, _name=name, _real=real):
+            result = _real(*args)
+            calls[_name].append((args, result))
+            return result
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    argv = command.split()
+    argv[1] = SAMPLES.parent / argv[1]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    counts = tuple(len(calls[name]) for _, name in BUILDERS)
+    assert counts == BUILD_TABLE[command.replace(" --json", "")]
+    # No declared form is differentiated twice, and check differentiates
+    # each one once: d^2, the foliated kernel, restriction and every Leibniz
+    # pair share it.
+    (_, document), = calls["parse_document"]
     declared = [obj.value for obj in document.of_kind("form", "exterior_form")]
-    arguments = []
-    for name in ("leafwise_differential", "exterior_differential"):
-        real = getattr(commands, name)
-        monkeypatch.setattr(commands, name, lambda f, real=real: arguments.append(f) or real(f))
-    assert commands.run_command("check", document).ok
-    assert [sum(a is form for a in arguments) for form in declared] == [1] * len(declared)
+    arguments = [args[0] for name in ("leafwise_differential", "exterior_differential")
+                 for args, _ in calls[name]]
+    built = [sum(a is form for a in arguments) for form in declared]
+    if argv[0] == "check":
+        assert built == [1] * len(declared)
+    else:
+        assert all(count <= 1 for count in built)
 
 
 def test_json_and_text_verdicts_agree(capsys):
@@ -248,6 +332,25 @@ def test_oversized_integer_literal_exits_2(tmp_path, capsys):
     assert out == ""
     assert "huge.fol:3:7:" in errtext
     assert "too many digits" in errtext
+
+
+@pytest.mark.parametrize(
+    "value, column",
+    [("9^99999999", 7), ("(1/3)^99999999", 7), ("2^" + "9" * 400, 7),
+     ("9^300000*" * 3 + "z1", 16), ("(9^300000)*(9^300000)*z1", 18)],
+)
+def test_literal_power_past_the_bit_limit_exits_2(tmp_path, capsys, value, column):
+    doc = tmp_path / "huge.fol"
+    doc.write_text(
+        "manifold { dim 3 leaf 2 coords z1 z2 z3 }\n"
+        "form p {\n  p = " + value + "\n}\n"
+    )
+    start = time.perf_counter()
+    code, out, errtext = run(capsys, "check", doc)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert errtext.startswith(f"{doc}:3:{column}: number too large")
 
 
 def test_unprintable_coefficient_exits_2(tmp_path, capsys):

@@ -695,20 +695,67 @@ def test_factor_table_keeps_every_diagnostic(monkeypatch, parse, text, expected)
     assert _both_paths(monkeypatch, parse, text) == (expected, expected)
 
 
-def test_a_parsed_document_is_checked_once(monkeypatch):
-    # _build_document checks each block as it builds it, so the parsed
-    # Document does not run its constructor's checks again; the public
-    # constructor still does.
+_TOO_LARGE = "number too large: the term's coefficient would pass 1048576 bits"
+_PLAIN = "9" * 4300  # a literal at the int/str digit limit, 14,284 bits
+_HUGE = "9" * 400  # an exponent past the largest float
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("9^99999999", 1),
+        ("(1/3)^99999999", 1),
+        ("z1 - -(-2/3)^99999999*z2", 7),
+        ("-(2 + 1)^99999999*z1", 2),
+        ("1/9^99999999", 1),  # the power applies to 1/9
+        ("2^" + _HUGE, 1),
+        # 9^300000 has 950,978 bits, so the second one passes the limit.
+        ("z1 + 2*" + "*".join(["9^300000"] * 8), 17),
+        ("(9^300000)*(9^300000)*z1", 12),
+        # Each inner group has 633,985 bits; the outer product passes.
+        ("((9^100000)*(9^100000))*((9^100000)*(9^100000))", 25),
+        # The 74th plain literal takes the product past the limit.
+        ("*".join([_PLAIN] * 100), 73 * 4301 + 1),
+    ],
+    ids=["power", "group power", "signed group power", "sum group power", "rational power",
+         "power past a float", "run of powers", "run of number groups", "nested number groups",
+         "run of plain literals"],
+)
+def test_a_number_past_the_bit_limit_is_refused_at_its_factor(monkeypatch, text, column):
+    start = time.perf_counter()
+    assert _both_paths(monkeypatch, fc.parse_expression, text) == ((_TOO_LARGE, 1, column),) * 2
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("10^5000", Expression.constant(10**5000)),
+        ("1^99999999999 - 0^99999999999*z1", Expression.one()),
+        (f"1^{_HUGE} - 0^{_HUGE}*z1 + (-1)^{_HUGE} + 1/1^{_HUGE}", Expression.one()),
+        ("(1/3)^2*z1 + (-2/3)^3 + -(-1)^3*z2", fc.parse_expression("1/9*z1 - 8/27 + z2")),
+        ("*".join([_PLAIN] * 32), Expression.constant(int(_PLAIN) ** 32)),
+    ],
+    ids=["10^5000", "powers of 0 and 1", "powers of 0 and 1 past a float", "number groups",
+         "32 plain literals"],
+)
+def test_numbers_within_the_bit_limit_fold_on_both_paths(monkeypatch, text, expected):
+    assert _both_paths(monkeypatch, fc.parse_expression, text) == (expected, expected)
+
+
+def test_the_public_document_constructor_checks_again(monkeypatch):
+    # _build_document checks each block as it builds it, and the parsed
+    # Document skips its constructor's checks (test_cli's build table pins
+    # the parse); the public constructor still runs them.
+    document = parse_document(SAMPLES[0].with_name("foliated_bundle.fol").read_text())
     calls = {"_transition_entries": 0, "_checked_entries": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(dsl, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(dsl, name, counted)
-    document = parse_document(SAMPLES[0].with_name("foliated_bundle.fol").read_text())
-    assert calls == {"_transition_entries": 1, "_checked_entries": 3}
     assert fc.Document(document.chart, document.objects) == document
-    assert calls == {"_transition_entries": 2, "_checked_entries": 9}
+    assert calls == {"_transition_entries": 1, "_checked_entries": 6}
 
 
 def test_scanner_memory_is_bounded():

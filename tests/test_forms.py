@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import folicalc as fc
 from folicalc import (
@@ -288,6 +289,93 @@ def test_leafwise_kernel_is_foliated_functions():
         f = randgen.expression(rng, chart.coords)
         phi = LeafwiseForm.from_function(chart, f)
         assert leafwise_differential(phi).is_zero() == fc.is_foliated_function(f, chart)
+
+
+# -- changes of chart ----------------------------------------------------------------
+#
+# A transition of the 2+2 chart below pulls a form back by the chain rule
+# (oracles.pullback), a route through none of the differentials' or the
+# wedge's own code.  d and the wedge commute with every pullback, and the
+# leafwise differential with the leaf-block pullback of an adapted
+# transition, whose transverse components do not mention the leaf
+# coordinates.
+
+CHART_2_2 = AdaptedChart(("z1", "z2"), ("z3", "z4"))
+chart_seeds = st.randoms(use_true_random=False)
+
+
+def _adapted_transition(rng):
+    # Leaf components over every coordinate; each transverse one its own
+    # coordinate plus a polynomial in the transverse coordinates.
+    leaf = [randgen.expression(rng, CHART_2_2.coords, 2) for _ in CHART_2_2.leaf_coords]
+    transverse = [
+        Expression.variable(name) + randgen.expression(rng, CHART_2_2.transverse_coords, 2)
+        for name in CHART_2_2.transverse_coords
+    ]
+    return leaf + transverse
+
+
+def test_transitions_drawn_are_adapted():
+    rng = random.Random(67)
+    for _ in range(50):
+        transition = fc.TransitionMap(CHART_2_2, _adapted_transition(rng))
+        assert fc.check_adapted_transition(transition, CHART_2_2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_seeds)
+def test_exterior_differential_commutes_with_pullback(rng):
+    phi = _adapted_transition(rng)
+    for degree in range(4):
+        omega = randgen.exterior_form(rng, CHART_2_2, degree, coeff_degree=2)
+        assert exterior_differential(oracles.pullback(omega, phi)) == oracles.pullback(
+            exterior_differential(omega), phi
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_seeds)
+def test_leafwise_differential_commutes_with_adapted_pullback(rng):
+    phi = _adapted_transition(rng)
+    for degree in range(3):
+        omega = randgen.leafwise_form(rng, CHART_2_2, degree, coeff_degree=2)
+        assert leafwise_differential(oracles.pullback(omega, phi)) == oracles.pullback(
+            leafwise_differential(omega), phi
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_seeds)
+def test_pullback_is_multiplicative(rng):
+    phi = _adapted_transition(rng)
+    for form in (randgen.exterior_form, randgen.leafwise_form):
+        a = form(rng, CHART_2_2, coeff_degree=2)
+        b = form(rng, CHART_2_2, coeff_degree=2)
+        assert oracles.pullback(wedge(a, b), phi) == wedge(
+            oracles.pullback(a, phi), oracles.pullback(b, phi)
+        )
+
+
+def test_a_transition_that_moves_leaves_breaks_the_leafwise_identity():
+    # The control: z3 -> z3 + z1 mixes a leaf coordinate into a transverse
+    # one, so the leaf-block pullback no longer commutes with d~.  The
+    # function z3 shows it at once: d~(z3 + z1) = ~dz1, but d~z3 = 0.
+    phi = [z1, z2, z3 + z1, Expression.variable("z4")]
+    f = LeafwiseForm.from_function(CHART_2_2, z3)
+    assert leafwise_differential(oracles.pullback(f, phi)) == LeafwiseForm(
+        CHART_2_2, 1, {("z1",): one}
+    )
+    assert oracles.pullback(leafwise_differential(f), phi).is_zero()
+    rng = random.Random(71)
+    broken = 0
+    for _ in range(200):
+        phi = _adapted_transition(rng)
+        phi[2] = phi[2] + z1
+        omega = randgen.leafwise_form(rng, CHART_2_2, rng.randint(0, 2), coeff_degree=2)
+        broken += leafwise_differential(oracles.pullback(omega, phi)) != oracles.pullback(
+            leafwise_differential(omega), phi
+        )
+    assert broken > 0
 
 
 # -- printing ---------------------------------------------------------------------
