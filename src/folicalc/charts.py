@@ -77,10 +77,10 @@ def _require(operation: str, *operands):
 
 def _tuple(operation: str, values, kind: type = object) -> tuple:
     try:
-        values = tuple(values)
+        items = iter(values)
     except TypeError:
-        _require(operation, (values, Iterable))
-        raise
+        raise ChartMismatchError(_needs(operation, values, Iterable)) from None
+    values = tuple(items)  # a TypeError from the caller's own iterator propagates
     for value in values:
         if not isinstance(value, kind):
             _require(operation, (value, kind))

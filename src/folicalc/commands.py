@@ -4,8 +4,9 @@ Each verb resolves named objects from a parsed document, runs the matching
 library operations, and returns a Report whose entries are deterministic in
 document order.  Input problems (unknown names, kind mismatches) raise
 InputError; a returned Report with a failing check means a mathematical
-check did not hold.  `verify` builds each named splitting's extension once
-and reads the round trip and the dependence from those extensions.
+check did not hold.  `verify` builds every named splitting's extension
+from one leafwise difference and reads the round trip and the dependence
+from those extensions.
 """
 
 from __future__ import annotations
@@ -19,15 +20,10 @@ from .charts import (
     check_foliated_bundle_transition,
     is_foliated_function,
 )
-from .connections import (
-    Connection,
-    LeafwiseConnection,
-    connection_difference,
-    restrict_connection,
-)
+from .connections import Connection, LeafwiseConnection, restrict_connection
 from .dsl import DeclaredTransition, Document, DocumentObject
 from .errors import InputError
-from .extension import Splitting, _dependence, extend_connection
+from .extension import Splitting, _dependence, _extensions, extend_connection
 from .expr import _product_sum
 from .forms import (
     exterior_differential,
@@ -227,8 +223,6 @@ def _pick_extension_inputs(document: Document, names, verb: str, max_splittings:
         raise InputError(f"{verb} needs a leafwise_connection --name")
     if not splittings:
         raise InputError(f"{verb} needs a splitting --name")
-    if reference is None:  # the zero connection, as in extend_connection
-        reference = Connection._build(leafwise.chart, {})
     return leafwise, reference, splittings
 
 
@@ -245,7 +239,7 @@ def _run_verify(document: Document, names) -> list[CheckResult]:
         document, names, "verify", max_splittings=2
     )
     # Each splitting's extension, built once; with two, Delta is their difference.
-    first, *other = [extend_connection(leafwise, reference, split) for split in splittings]
+    first, *other = _extensions(leafwise, reference, *splittings)
     round_trip = _status(restrict_connection(first) == leafwise)
     results = [CheckResult("extension.round_trip", round_trip, _payload_lines("Gamma'", first))]
     if other:
@@ -258,15 +252,17 @@ def _run_verify(document: Document, names) -> list[CheckResult]:
 
 def _dependence_matches(leafwise, reference, splittings, delta) -> bool:
     # Transverse entries must equal -(B1-B2)[alpha][A] * Q[i][alpha], summed
-    # over the leaf index: a dense check that builds no extension.
+    # over the leaf index, with Q = A - Gamma|F read slot by slot (no
+    # reference reads as zero): a dense check that builds no extension.
     chart = delta.chart
-    difference = connection_difference(leafwise, restrict_connection(reference))
     first, second = splittings
+    held = reference.coefficients if reference else {}
     for fibre in range(chart.fibre_dim):
+        q = [leafwise.coefficient(fibre, leaf) - held.get((fibre, leaf), 0)
+             for leaf in range(chart.dim_leaf)]
         for trans in range(chart.dim_leaf, chart.dim):
             expected = _product_sum([
-                (first.coefficient(leaf, trans) - second.coefficient(leaf, trans),
-                 difference.coefficient(fibre, leaf), True)
+                (first.coefficient(leaf, trans) - second.coefficient(leaf, trans), q[leaf], True)
                 for leaf in range(chart.dim_leaf)
             ])
             if delta.coefficient(fibre, trans) != expected:

@@ -49,15 +49,16 @@ its power and multiplied in.  A number factor that would take the term's
 numerator or denominator past a fixed bit limit is refused, before its
 power or product is computed, with a ParseError at the factor.
 
-Canonical sums are read a term at a time.  At nesting depth 0 (an
-assignment's right-hand side, or a standalone expression) whose first token
-is a number, a name, '-' or '(', parse_expression first scans the leading
-run of flat terms with one _TERM_RE match per term.  A flat term is an
-optional '-' and up to 32 factors joined by '*', each a number, `a/b`,
-`(a/b)`, `(-a/b)` or a name with an optional `^n`, and no whitespace inside;
-spaces or tabs may surround the '+' or '-' before it.  Each scanned term's
-factors are split from its match string and folded as above, a parenthesised
-number as a number with its sign, and the entries are summed in one pass.
+Canonical sums are read a term at a time.  Where a sum starts with a
+number, a name, '-' or '(', at any nesting depth (an assignment's right-hand
+side, a standalone expression or a group), parse_expression first scans
+the leading run of flat terms with one _TERM_RE match per term.  A flat
+term is an optional '-' and up to 32 factors joined by '*', each a number,
+`a/b`, `(a/b)`, `(-a/b)` or a name with an optional `^n`, and no whitespace
+inside; spaces or tabs may surround the '+' or '-' before it.  Each scanned
+term's factors are split from its match string and folded as above, a
+parenthesised number as a number with its sign, and the entries are summed
+in one pass.
 Each distinct factor text, its minus signs included, is converted once per
 parse through a table the parser holds for that call (a 1,000-term
 coefficient has ~5,000 factors, ~40 distinct); one that fails is not kept.
@@ -117,8 +118,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# One flat term at depth 0, the operator before it included: a run of up to
-# 32 number, a/b, (a/b), (-a/b) or name factors, each with an optional ^n,
+# One flat term, the operator before it included: a run of up to 32
+# number, a/b, (a/b), (-a/b) or name factors, each with an optional ^n,
 # joined by '*'.  The guards after a factor keep a failed match from
 # backtracking into a shorter name or number, and the lookahead makes sure
 # that no ^, /, *, ( or comment follows, past any whitespace, that the token
@@ -266,7 +267,7 @@ class _Parser:
         # All terms go into one sum at the end: folding `value + right` per
         # operator would copy the partial sum each time, which is quadratic.
         added, subtracted = [], []
-        if self.depth == 0 and self.token.kind in _SCANNED:
+        if self.token.kind in _SCANNED:
             self._scan_terms(added)
         if not added:
             added.append(self._term())

@@ -384,6 +384,8 @@ def _entry_sum(entries: Sequence[tuple[Monomial, int, int]]) -> "Expression":
         acc[key] = acc.get(key, 0) + num * (den // d)
     if 0 in acc.values():
         acc = {m: c for m, c in acc.items() if c}
+    if bound.bit_length() > 64:  # a factor every numerator shares divides their sum
+        bound = math.gcd(bound, sum(acc.values()))
     return _reduced(acc, den, bound)
 
 
@@ -400,6 +402,8 @@ def _linear(parts: Sequence[tuple["Expression", bool]]) -> "Expression":
             _add_into(acc, coeffs, negate)
         else:
             acc = dict(coeffs)
+    if bound.bit_length() > 64:  # as in _entry_sum
+        bound = math.gcd(bound, sum(acc.values()))
     return _reduced(acc, den, bound)
 
 

@@ -7,9 +7,9 @@ sequence (turning it into a soldering form over the whole base), and add the
 result to the reference.  The leaf-indexed coefficients of the output are
 the given leafwise coefficients verbatim, so restricting the extension
 always recovers the input; verify_extension checks exactly that and exists
-as an executable witness of the statement.  extension_dependence subtracts
-the extensions of two splittings in _dependence, which the `verify` command
-applies to the two extensions it has built.
+as an executable witness of the statement.  _extensions builds each
+splitting's extension from one leafwise difference for extend_connection,
+extension_dependence and `verify`, and _dependence subtracts two of them.
 
 Splittings and soldering forms are coefficient tables of the one type in
 connections.py.  A splitting lives over the adapted base chart, with leaf
@@ -91,17 +91,22 @@ def extend_connection(
     over the transverse coefficients.  Leaf coefficients of the result equal
     the input's verbatim.
     """
+    return _extensions(a, reference, split)[0]
+
+
+def _extensions(a, reference, *splits) -> list[Connection]:
+    # reference + s(Q) for each splitting s, from one Q = a - reference|F;
+    # every operand type is checked before any chart.
     _require("extend_connection", (a, LeafwiseConnection))
     chart = a.chart
     if reference is None:
         reference = Connection._build(chart, {})
-    _require("extend_connection", (reference, Connection), (split, Splitting))
+    _require("extend_connection", (reference, Connection), *[(s, Splitting) for s in splits])
     if reference.chart != chart:
         raise ChartMismatchError("reference connection lives over a different chart")
     difference = connection_difference(a, restrict_connection(reference))
-    soldering = apply_splitting(split, difference)
-    merged = _add_into(dict(reference.coefficients), soldering.coefficients)
-    return Connection._build(chart, merged)
+    sigmas = [apply_splitting(split, difference).coefficients for split in splits]
+    return [Connection._build(chart, _add_into(dict(reference.coefficients), s)) for s in sigmas]
 
 
 def verify_extension(
@@ -125,8 +130,7 @@ def extension_dependence(
     The leaf-indexed entries are always zero; the transverse entries measure
     how the extension depends on the choice of splitting.
     """
-    first = extend_connection(a, reference, split_one)
-    return _dependence(first, extend_connection(a, reference, split_two))
+    return _dependence(*_extensions(a, reference, split_one, split_two))
 
 
 def _dependence(first: Connection, second: Connection) -> SolderingForm:

@@ -130,3 +130,13 @@ def test_foliation_predicates_build_no_partial(monkeypatch):
     assert fc.check_foliated_bundle_transition([z3 * y1], bundle)
     assert not fc.check_foliated_bundle_transition([z1 * y1], bundle)
     assert calls == []
+
+
+@pytest.mark.parametrize("target", [
+    AdaptedChart(("z1",), ("z2",)),
+    AdaptedChart(("z1",), ("z2", "z3")),
+], ids=["fewer-coordinates", "fewer-leaf-coordinates"])
+def test_adapted_check_refuses_charts_of_other_dimensions(target):
+    transition = TransitionMap(target, [Expression.variable(n) for n in target.coords])
+    with pytest.raises(fc.ChartMismatchError, match="^transition charts disagree on dimensions$"):
+        fc.check_adapted_transition(transition, CHART)

@@ -182,13 +182,14 @@ def test_each_check_fails_on_an_injected_fault(
 # and transition component, _transition_entries for each transition, so a
 # parsed document is not checked a second time); the leafwise and exterior
 # differentials; restrict_form; wedge; restrict_connection;
-# connection_difference; extend_connection.
+# connection_difference; apply_splitting, once per extension built, whatever
+# the entry point.
 BUILDERS = (
     (fc.dsl, "parse_document"), (fc.charts, "_checked_entries"),
     (fc.dsl, "_transition_entries"), (forms, "leafwise_differential"),
     (forms, "exterior_differential"), (forms, "restrict_form"), (forms, "wedge"),
     (fc.connections, "restrict_connection"), (fc.connections, "connection_difference"),
-    (extension, "extend_connection"),
+    (extension, "apply_splitting"),
 )
 BUILD_TABLE = {
     # command, without --json: counts in BUILDERS' order
@@ -211,7 +212,7 @@ BUILD_TABLE = {
     "verify samples/foliated_bundle.fol --name A --name Gamma --name B":
         (1, 7, 1, 0, 0, 0, 0, 2, 1, 1),
     "verify samples/worked_extension.fol --name A --name B --name B0":
-        (1, 3, 0, 0, 0, 0, 0, 4, 3, 2),
+        (1, 3, 0, 0, 0, 0, 0, 2, 1, 2),
     "wedge samples/leafwise_calculus.fol --name alpha --name beta":
         (1, 8, 1, 0, 0, 0, 1, 0, 0, 0),
 }
@@ -368,3 +369,26 @@ def test_unprintable_coefficient_exits_2(tmp_path, capsys):
         assert "Traceback" not in errtext
         assert errtext.startswith("error: ")
         assert "5001 digits" in errtext
+
+
+# Two leafwise connections and two connections over one bundle, a leafwise
+# form and an exterior form: inputs that the verbs refuse by name.
+TWO_OF_A_KIND = fc.parse_document(
+    "manifold { dim 3 leaf 2 coords z1 z2 z3 }\nbundle { fibre u }\n"
+    "leafwise_connection A { A[u][z1] = u }\nleafwise_connection A2 { }\n"
+    "connection G { }\nconnection G2 { }\nsplitting B { }\n"
+    "form a { a[z1] = z2 }\nexterior_form w { w[z3] = z1 }\n"
+)
+
+
+@pytest.mark.parametrize("verb, names, message", [
+    ("nope", [], "unknown command 'nope'"),
+    ("wedge", ["a", "w"], "wedge: 'a' and 'w' are forms of different kinds"),
+    ("extend", ["A", "A2", "B"], "extend: more than one leafwise_connection named"),
+    ("verify", ["A", "A2", "B"], "verify: more than one leafwise_connection named"),
+    ("extend", ["A", "G", "G2", "B"], "extend: more than one connection named"),
+    ("verify", ["A", "G", "G2", "B"], "verify: more than one connection named"),
+])
+def test_refused_names_are_input_errors(verb, names, message):
+    with pytest.raises(fc.InputError, match=f"^{message}$"):
+        fc.run_command(verb, TWO_OF_A_KIND, names)

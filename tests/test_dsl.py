@@ -568,10 +568,10 @@ def test_scanner_reads_canonical_terms_without_the_token_path(monkeypatch):
         "2/3*u*z1*z2 - 3*z2^2 + 5*u - 1/2*z1"
     )
     assert calls == []
-    # A parenthesised term, the terms inside it and every term after it go
-    # through _term.
+    # A parenthesised term and every term after it go through _term; the
+    # flat terms inside the group are scanned.
     fc.parse_expression("z1 + (z2 + 1) - z3")
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

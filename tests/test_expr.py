@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -880,6 +881,38 @@ def test_distinct_prime_denominators_stay_bounded():
     assert dict(product.terms) == oracles.dict_product(dict(e.terms), dict(binomial.terms))
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(2, 2**40),
+    st.integers(2**64, 2**80),
+    st.lists(st.tuples(st.integers(-2**70, 2**70), st.integers(-10**6, 10**6)),
+             min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_wide_sums_keep_the_factor_their_numerators_share(factor, rest, pairs, cancel):
+    # Two sums over one denominator wider than 64 bits whose numerators add
+    # up, monomial by monomial, to multiples of a factor of it (or cancel to
+    # zero): the sum must divide that factor out, through the gcd with the
+    # sum of the numerators, by Expression addition and by the term scanner.
+    den = factor * rest
+    left, right, expected = {}, {}, {}
+    for i, (offset, share) in enumerate(pairs):
+        total = 0 if cancel else factor * share
+        left[mono(z1=i + 1)] = Fraction(offset, den)
+        right[mono(z1=i + 1)] = Fraction(total - offset, den)
+        if total:
+            expected[mono(z1=i + 1)] = Fraction(total, den)
+    terms = [f"{c.numerator}/{c.denominator}*z1^{power}"
+             for ((_, power),), c in [*left.items(), *right.items()] if c] or ["0"]
+    text = " + ".join(terms).replace("+ -", "- ")
+    lcm = math.lcm(*[c.denominator for c in expected.values()]) if expected else 1
+    for total in (Expression(left) + Expression(right),
+                  Expression(left) - (-Expression(right)),
+                  fc.parse_expression(text)):
+        assert dict(total.terms) == expected
+        assert total._den == lcm
+
+
 def test_product_sums_over_distinct_prime_denominators_stay_bounded():
     # k two-term pairs, each over its own two primes: the sum's denominator
     # is the product of all 2k primes (~55k bits) and every numerator nearly
@@ -974,3 +1007,23 @@ def test_separated_powers_match_sympy_expand(sympy):
         base = fc.parse_expression(text)
         expected = sympy.expand(_to_sympy(sympy, base) ** n)
         assert sympy.expand(expected - _to_sympy(sympy, base**n)) == 0
+
+
+def test_substitute_and_evaluate_name_the_binding_they_cannot_use():
+    with pytest.raises(fc.InputError, match="^binding for 'z1' is not an expression$"):
+        z1.substitute({"z1": "z2"})
+    with pytest.raises(fc.InputError, match="^no value bound for variable 'z2'$"):
+        (z1 + z2).evaluate({"z1": 1})
+
+
+def test_decimal_digits_count_like_str():
+    # The float logarithm is one too high just below a power of ten
+    # (10^15 - 1) and one too low at a large one (10^512); both are corrected.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for power in (1, 2, 15, 16, 100, 512, 4300, 5000):
+            for n in (10**power - 1, 10**power, 10**power + 1):
+                assert expr_module._decimal_digits(n) == len(str(n)), n
+    finally:
+        sys.set_int_max_str_digits(limit)

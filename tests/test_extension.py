@@ -231,6 +231,11 @@ def test_chart_compatibility_enforced():
         apply_splitting(Splitting(other_base), VerticalValuedLeafwiseForm(CHART))
     with pytest.raises(fc.ChartMismatchError):
         extend_connection(LeafwiseConnection(CHART), None, Splitting(other_base))
+    other_bundle = BundleChart(BASE, ("v",))
+    with pytest.raises(
+        fc.ChartMismatchError, match="^reference connection lives over a different chart$"
+    ):
+        extend_connection(LeafwiseConnection(CHART), Connection(other_bundle), Splitting(BASE))
 
 
 def _soldering_cases():

@@ -387,3 +387,19 @@ def test_form_printing():
     assert str(lf(1, {("z1",): z1 + z2})) == "(z1 + z2) ~dz1"
     assert str(LeafwiseForm.zero(CHART, 2)) == "0"
     assert str(LeafwiseForm.from_function(CHART, z1 * z3)) == "z1*z3"
+    # The first component carries its own sign; each later one is joined by
+    # " + " or " - ", a sum in parentheses before its basis.
+    assert str(ef(1, {("z1",): z1, ("z2",): -2 * z2, ("z3",): z1 + 1})) == (
+        "z1 dz1 - 2*z2 dz2 + (z1 + 1) dz3"
+    )
+    assert str(ef(2, {("z1", "z2"): -1, ("z1", "z3"): 1, ("z2", "z3"): -z1 - z2})) == (
+        "-dz1^dz2 + dz1^dz3 + (-z1 - z2) dz2^dz3"
+    )
+    assert str(lf(1, {("z1",): -1, ("z2",): 3})) == "-~dz1 + 3 ~dz2"
+
+
+def test_component_reads_a_stored_coefficient_and_zero_elsewhere():
+    form = lf(1, {("z2",): 3 * z1})
+    assert form.component(("z2",)) == 3 * z1
+    assert form.component((1,)) == 3 * z1
+    assert form.component(("z1",)) == Expression.zero()

@@ -210,6 +210,7 @@ DOCUMENT_ERRORS = [
     ("manifold { leaf 2 coords z1 z2 z3 z4 }", "1:1: manifold block needs a 'dim' item"),
     ("manifold { dim 4 coords z1 z2 z3 z4 }", "1:1: manifold block needs a 'leaf' item"),
     ("manifold { dim 4 leaf 2 }", "1:1: manifold block needs a 'coords' item"),
+    ("manifold { dim }", "1:16: expected a value after 'dim'"),
     ("manifold { dim x leaf 2 coords z1 z2 z3 z4 }", "1:16: dim takes a number"),
     ("manifold { dim 4 leaf y coords z1 z2 z3 z4 }", "1:23: leaf takes a number"),
     ("manifold { dim 4 leaf 2 coords z1 z2 3 z4 }", "1:38: coords takes coordinate names"),

@@ -142,6 +142,12 @@ def _document():
     return fc.parse_document("manifold { dim 2 leaf 1 coords x y }")
 
 
+class _BadIterable:
+    # An Iterable by its __iter__, whose iter() raises TypeError.
+    def __iter__(self):
+        return 5
+
+
 @pytest.mark.parametrize(
     "call, kind, message",
     [
@@ -208,6 +214,12 @@ def _document():
         (lambda: Expression.sum([z1], None), InputError, "sum needs an Iterable, not NoneType"),
         (lambda: fc.TransitionMap.identity(None), ChartMismatchError,
          "TransitionMap.identity needs an AdaptedChart, not NoneType"),
+        (lambda: fc.TransitionMap(BASE, _BadIterable()), ChartMismatchError,
+         "TransitionMap needs an Iterable, not _BadIterable"),
+        (lambda: AdaptedChart(_BadIterable()), ChartMismatchError,
+         "AdaptedChart needs an Iterable, not _BadIterable"),
+        (lambda: fc.run_command("check", _document(), _BadIterable()), ChartMismatchError,
+         "run_command needs an Iterable, not _BadIterable"),
     ],
 )
 def test_wrong_operands_are_named(call, kind, message):
@@ -237,6 +249,15 @@ def test_operands_that_were_accepted_still_are():
     assert AdaptedChart(name for name in ("z1", "z2")).dim == 2
     assert fc.TransitionMap(BASE, [z1, z1, z1]).components == (z1, z1, z1)
     assert fc.check_foliated_bundle_transition(iter([Expression.variable("z3")]), BUNDLE)
+
+
+def test_a_type_error_from_the_callers_own_iterator_propagates():
+    def names():
+        yield "z1"
+        raise TypeError("raised by the caller's generator")
+
+    with pytest.raises(TypeError, match="^raised by the caller's generator$"):
+        AdaptedChart(names())
 
 
 def test_a_monomial_keeps_its_own_checks():
