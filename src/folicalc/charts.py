@@ -145,9 +145,10 @@ class BundleChart(_Record):
         fibre_coords = _checked_names("BundleChart", fibre_coords, "fibre")
         if not fibre_coords:
             raise InputError("a bundle chart needs at least one fibre coordinate")
-        names = base.coords + fibre_coords
-        if len(set(names)) != len(names):
+        if not set(base.coords).isdisjoint(fibre_coords):
             raise InputError("fibre names must be distinct from base coordinates")
+        if len(set(fibre_coords)) != len(fibre_coords):
+            raise InputError("fibre names must be distinct")
         _set(self, "base", base)
         _set(self, "fibre_coords", fibre_coords)
 

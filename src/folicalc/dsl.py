@@ -46,8 +46,9 @@ just the sign (-1)^(minus signs * n) of the whole term, and `-z1^2` is
 `z1^2`.  A `^0` factor is 1, whatever its base (`0^0` included).  A group
 whose value is a number folds as that number; any other group is raised to
 its power and multiplied in.  A number factor that would take the term's
-numerator or denominator past a fixed bit limit is refused, before its
-power or product is computed, with a ParseError at the factor.
+numerator or denominator past expr's bit limit is refused, before its
+power or product is computed, with a ParseError at the factor, and so is a
+power that Expression.__pow__ refuses, at its group's '('.
 
 Canonical sums are read a term at a time.  Where a sum starts with a
 number, a name, '-' or '(', at any nesting depth (an assignment's right-hand
@@ -93,13 +94,11 @@ from .charts import (
 )
 from .connections import BundleSection, Connection, LeafwiseConnection
 from .errors import InputError, ParseError
-from .expr import Expression, _entry_sum, is_identifier
+from .expr import _MAX_COEFF_BITS, Expression, _entry_sum, is_identifier
 from .extension import Splitting
 from .forms import ExteriorForm, LeafwiseForm
 
 _MAX_NESTING = 64
-# The bits a term's folded numerator or denominator may reach; see _fold.
-_MAX_TERM_BITS = 1 << 20
 
 # The next comment or token after any whitespace.  The last alternative
 # matches the end of the text, so no match backtracks into the whitespace.
@@ -186,14 +185,14 @@ def _fold(factors: Iterable[tuple]) -> tuple[tuple, int, int]:
     # numerator, denominator) entry; see the module docstring.  The factors
     # are read one at a time, so a term of any length folds in bounded space.
     # ValueError, before it is computed, for a number factor that would take
-    # the numerator or denominator past _MAX_TERM_BITS.  With n and b
+    # the numerator or denominator past expr's _MAX_COEFF_BITS.  With n and b
     # nonzero, n * b**p has at least n.bit_length() + p * (b.bit_length() - 1)
     # bits.  The bound is kept in integers, so a power of any size is checked
     # at once; for b = 0 or +-1 it adds no bits, so those powers never trip
     # it.  Every number factor is checked, a number group's too, so no
     # grouping gets round the limit.
     numerator = denominator = 1
-    limit = _MAX_TERM_BITS
+    limit = _MAX_COEFF_BITS
     exponents: dict[str, int] = {}
     for base, divisor, power, negations in factors:
         if negations & power & 1:
@@ -202,7 +201,7 @@ def _fold(factors: Iterable[tuple]) -> tuple[tuple, int, int]:
             if (numerator.bit_length() + power * (abs(base).bit_length() - 1) > limit
                     or denominator.bit_length() + power * (divisor.bit_length() - 1) > limit):
                 raise ValueError(f"number too large: the term's coefficient would pass "
-                                 f"{_MAX_TERM_BITS} bits")
+                                 f"{limit} bits")
             numerator *= base**power
             denominator *= divisor**power
         elif power:
@@ -361,7 +360,10 @@ class _Parser:
                 self.advance()
             if kind == "(" and group.variables():
                 if power:
-                    groups.append(group if power == 1 else group**power)
+                    try:
+                        groups.append(group if power == 1 else group**power)
+                    except InputError as error:  # a power past expr's limits
+                        self.error(str(error), token)
                 base = 1
             elif kind == "(":
                 value = group.evaluate({})
@@ -632,10 +634,10 @@ def _build_chart(blocks: list[RawBlock]) -> Chart:
         raise _error_at(bundle.kind, "bundle block needs a 'fibre' item")
     fibre_tokens = _name_list(fibre_directives["fibre"], "fibre")
     for token in fibre_tokens:
+        if token.text in names:
+            raise _error_at(token, f"fibre name {token.text!r} collides with a coordinate")
         if token.text in seen:
-            raise _error_at(
-                token, f"fibre name {token.text!r} collides with a coordinate"
-            )
+            raise _error_at(token, f"duplicate fibre name {token.text!r}")
         seen.add(token.text)
     return BundleChart(base, tuple(t.text for t in fibre_tokens))
 

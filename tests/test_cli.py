@@ -354,6 +354,29 @@ def test_literal_power_past_the_bit_limit_exits_2(tmp_path, capsys, value, colum
     assert errtext.startswith(f"{doc}:3:{column}: number too large")
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [("(1+z1+z2)^2000", "it would have more than 100000 terms"),
+     ("(1/3+z1)^99999999", "it would have more than 100000 terms"),
+     ("(2*z1)^99999999", "a coefficient would pass 1048576 bits"),
+     ("(z1*z2 - z1)^99999999", "it would have more than 100000 terms")],
+)
+def test_group_power_past_the_size_limits_exits_2(tmp_path, capsys, value, message):
+    # A group that holds a name is raised by Expression.__pow__, which
+    # predicts the size before building; the error is at the group's '('.
+    doc = tmp_path / "huge.fol"
+    doc.write_text(
+        "manifold { dim 4 leaf 2 coords z1 z2 z3 z4 }\n"
+        "form p {\n  p = z3 + 3*" + value + "\n}\n"
+    )
+    start = time.perf_counter()
+    code, out, errtext = run(capsys, "check", doc)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert errtext == f"{doc}:3:14: power too large: {message}\n"
+
+
 def test_unprintable_coefficient_exits_2(tmp_path, capsys):
     # 10^5000 is computed, not written as a literal, so it parses; printing
     # it would pass the interpreter's int/str digit limit.

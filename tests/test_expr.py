@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -271,7 +274,46 @@ def test_terms_are_canonically_ordered():
         mono(z2=1),
         (),
     ]
-    assert e.terms is e.terms
+
+
+# Run with PYTHONHASHSEED=1: pickles an Expression and a TransitionMap that
+# holds one, after hashing both and reading the terms.
+_DUMP = """
+import pickle, sys
+import folicalc as fc
+e = fc.parse_expression("z1^2 - 1/3*z2 + 5")
+t = fc.TransitionMap(fc.AdaptedChart(["z1"], ["z2"]), [e, fc.Expression.variable("z2")])
+hash(e), hash(t), e.terms
+sys.stdout.buffer.write(pickle.dumps((e, t)))
+"""
+
+# Run with PYTHONHASHSEED=2: loads them and looks them up among fresh ones.
+_LOAD = """
+import pickle, sys
+import folicalc as fc
+e, t = pickle.loads(sys.stdin.buffer.read())
+fresh = fc.parse_expression("z1^2 - 1/3*z2 + 5")
+fresh_t = fc.TransitionMap(fc.AdaptedChart(["z1"], ["z2"]), [fresh, fc.Expression.variable("z2")])
+assert e == fresh and hash(e) == hash(fresh), "expression"
+assert e in {fresh} and {fresh: 1}[e] == 1, "expression lookup"
+assert t == fresh_t and hash(t) == hash(fresh_t), "transition"
+assert t in {fresh_t} and {fresh_t: 1}[t] == 1, "transition lookup"
+print("ok")
+"""
+
+
+def test_hashes_survive_a_pickle_into_another_hash_seed():
+    # An Expression stores only its numerators and denominator, so no hash
+    # computed under one string-hash seed travels into a process with another.
+    assert Expression.__slots__ == ("_coeffs", "_den")
+    root = str(Path(fc.__file__).resolve().parent.parent)
+    data = b""
+    for seed, script in (("1", _DUMP), ("2", _LOAD)):
+        env = dict(os.environ, PYTHONPATH=root, PYTHONHASHSEED=seed)
+        data = subprocess.run(
+            [sys.executable, "-c", script], input=data, env=env, capture_output=True, check=True
+        ).stdout
+    assert data.decode().strip() == "ok"
 
 
 def test_large_print_parse_fixpoint():
@@ -1007,6 +1049,69 @@ def test_separated_powers_match_sympy_expand(sympy):
         base = fc.parse_expression(text)
         expected = sympy.expand(_to_sympy(sympy, base) ** n)
         assert sympy.expand(expected - _to_sympy(sympy, base**n)) == 0
+
+
+# -- bounded powers: the size is predicted before any work ---------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Expression.constant(9) ** 99999999,
+        lambda: (2 * z1) ** 99999999,
+        lambda: (Fraction(1, 3) + z1) ** 99999999,
+        lambda: (1 + z1 + z2) ** 2000,
+        lambda: (z1 * z2 - z1) ** 99999999,
+    ],
+    ids=["number", "named one-term", "rational two-term", "separated sum", "shared variable"],
+)
+def test_powers_past_the_size_limits_are_refused_before_any_work(build):
+    start = time.perf_counter()
+    with pytest.raises(fc.InputError, match="^power too large: "):
+        build()
+    assert time.perf_counter() - start < 1
+
+
+def test_powers_at_the_size_limits_still_build(monkeypatch):
+    bits = expr_module._MAX_COEFF_BITS
+    for base, value in ((2, 2**bits), (Fraction(1, 2), Fraction(1, 2**bits))):
+        assert Expression.constant(base) ** bits == Expression.constant(value)
+    for base in (Expression.constant(2), Expression.constant(Fraction(1, 2)), 2 * z1):
+        with pytest.raises(fc.InputError, match=f"^power too large: a coefficient would pass {bits} bits$"):
+            base ** (bits + 1)
+    # 83 terms cubed make C(85, 3) = 98,770 terms, as predicted; 84 pass the limit.
+    names = [Expression.variable(f"x{i}") for i in range(83)]
+    assert len(((Expression.sum(names[:82]) + 1) ** 3).terms) == math.comb(85, 3)
+    with pytest.raises(fc.InputError, match="^power too large: it would have more than 100000 terms$"):
+        (Expression.sum(names) + 1) ** 3
+    # A univariate power is bounded by its degree: 100 terms to the 10th.
+    assert len((Expression.sum([z1**i for i in range(100)]) ** 10).terms) == 991
+    # One term with coefficient 1 predicts one term and no bits: no exponent cap.
+    big = 99999999999999999999999
+    assert (-z1 * z2) ** big == Expression({mono(z1=big, z2=big): -1})
+    # At a lowered term limit the boundary is exact: C(14, 2) = 91 terms.
+    monkeypatch.setattr(expr_module, "_MAX_TERMS", 91)
+    assert len(((1 + z1 + z2) ** 12).terms) == 91
+    with pytest.raises(fc.InputError, match="more than 91 terms"):
+        (1 + z1 + z2) ** 13
+
+
+@settings(deadline=None, max_examples=150)
+@given(expressions, st.integers(2, 6), st.integers(1, 100), st.integers(0, 12))
+@example(1 + z1, 6, 100, 2)  # binomials need the log2 of the term count
+def test_a_power_that_is_not_refused_stays_within_the_limits(base, n, terms, bits):
+    # The prediction is an upper bound: under any limits, a power it lets
+    # through has at most that many terms, and numerators and a denominator
+    # of at most one bit more than the limit (it counts log2, not bit_length).
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr_module, "_MAX_TERMS", terms)
+        patch.setattr(expr_module, "_MAX_COEFF_BITS", bits)
+        try:
+            power = base**n
+        except fc.InputError:
+            return
+    assert len(power._coeffs) <= terms
+    assert max([power._den, *map(abs, power._coeffs.values())]).bit_length() <= bits + 1
 
 
 def test_substitute_and_evaluate_name_the_binding_they_cannot_use():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import folicalc as fc
 from folicalc import (
@@ -354,6 +354,42 @@ def test_pullback_is_multiplicative(rng):
         assert oracles.pullback(wedge(a, b), phi) == wedge(
             oracles.pullback(a, phi), oracles.pullback(b, phi)
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_seeds)
+def test_restriction_commutes_with_adapted_pullback(rng):
+    # restrict(phi* w) = phi*_leaf(restrict w): a transverse dz pulls back to
+    # transverse dz only, and a leaf one restricts to its leaf-block row.
+    phi = _adapted_transition(rng)
+    for degree in range(4):
+        omega = randgen.exterior_form(rng, CHART_2_2, degree, coeff_degree=2)
+        assert restrict_form(oracles.pullback(omega, phi)) == oracles.pullback(
+            restrict_form(omega), phi
+        )
+
+
+def _pull(f, phi):
+    return f.substitute(dict(zip(CHART_2_2.coords, phi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_seeds)
+@example(random.Random(24))  # catches a predicate that ignores z1
+def test_foliated_functions_stay_foliated_under_adapted_pullback(rng):
+    phi = _adapted_transition(rng)
+    for variables in (CHART_2_2.transverse_coords, ("z1", "z3", "z4"), CHART_2_2.coords):
+        f = randgen.expression(rng, variables, 2)
+        if fc.is_foliated_function(f, CHART_2_2):
+            assert fc.is_foliated_function(_pull(f, phi), CHART_2_2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_seeds)
+def test_composites_of_adapted_transitions_are_adapted(rng):
+    phi, psi = _adapted_transition(rng), _adapted_transition(rng)
+    composite = fc.TransitionMap(CHART_2_2, [_pull(component, phi) for component in psi])
+    assert fc.check_adapted_transition(composite, CHART_2_2)
 
 
 def test_a_transition_that_moves_leaves_breaks_the_leafwise_identity():

@@ -229,7 +229,7 @@ DOCUMENT_ERRORS = [
     (BASE + "bundle { }", "2:1: bundle block needs a 'fibre' item"),
     (BASE + "bundle { fibre u 2 }", "2:18: fibre takes coordinate names"),
     (BASE + "bundle { fibre z1 }", "2:16: fibre name 'z1' collides with a coordinate"),
-    (BASE + "bundle { fibre u u }", "2:18: fibre name 'u' collides with a coordinate"),
+    (BASE + "bundle { fibre u u }", "2:18: duplicate fibre name 'u'"),
     (BASE + "bundle E { fibre u }", "2:8: a bundle block takes no name"),
     # _build_document
     (BASE + "widget w { }", "2:1: unknown block kind 'widget'"),
