@@ -265,6 +265,7 @@ class _Parser:
     def parse_expression(self) -> Expression:
         # All terms go into one sum at the end: folding `value + right` per
         # operator would copy the partial sum each time, which is quadratic.
+        start = self.token
         added, subtracted = [], []
         if self.token.kind in _SCANNED:
             self._scan_terms(added)
@@ -275,7 +276,10 @@ class _Parser:
             (added if op.kind == "+" else subtracted).append(self._term())
         if len(added) == 1 and not subtracted:
             return added[0]  # a term or a scanned sum is canonical already
-        return Expression.sum(added, subtracted)
+        try:
+            return Expression.sum(added, subtracted)
+        except InputError as error:  # a common denominator past expr's limits
+            self.error(str(error), start)
 
     def _scan_terms(self, added: list):
         # The sum of the leading run of flat terms, one _TERM_RE match and
@@ -303,7 +307,10 @@ class _Parser:
             entries.append((monomial, numerator if op == "+" else -numerator, denominator))
             pos = match.end()
         if entries:
-            added.append(_entry_sum(entries))
+            try:
+                added.append(_entry_sum(entries))
+            except InputError as error:  # a common denominator past expr's limits
+                self.error(str(error))
             self.token = _token_at(text, pos)
 
     def _term(self) -> Expression:
@@ -315,15 +322,18 @@ class _Parser:
         except ValueError as error:  # at the number factor _fold refused
             self.error(str(error), self.factor)
         term = Expression._build({monomial: numerator} if numerator else {}, denominator)
-        for group in groups if numerator else ():
-            term = term * group
+        for token, group in groups if numerator else ():
+            try:
+                term = term * group
+            except InputError as error:  # a common denominator past expr's limits
+                self.error(str(error), token)
         return term
 
     def _factors(self, groups: list) -> Iterator[tuple]:
         # The term's factors for _fold, as they are read, each one's token
         # after its minus signs kept as self.factor.  A group that is a
         # number is yielded as one; any other goes to groups, raised to its
-        # power, and yields only its sign.
+        # power, with its '(' token, and yields only its sign.
         while True:
             negations = 0
             while self.token.kind == "-":
@@ -361,7 +371,7 @@ class _Parser:
             if kind == "(" and group.variables():
                 if power:
                     try:
-                        groups.append(group if power == 1 else group**power)
+                        groups.append((token, group if power == 1 else group**power))
                     except InputError as error:  # a power past expr's limits
                         self.error(str(error), token)
                 base = 1

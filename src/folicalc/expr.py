@@ -50,21 +50,57 @@ dynamic arrays, heaps, and packed exponent vectors" (CASC 2007).  Each
 monomial becomes one int with a bit field per variable, laid out once per
 sum and wide enough that adding two keys never carries, so a pair of terms
 costs one int addition and one multiply-add, and each output monomial is
-decoded once, from (name, exponent) pairs the output shares.  Only
-collisions repay packing; a one-term factor makes none, and costs 2.1 to 8.4
-times the direct loop there, so it is not counted.  Kernel time over
-direct-loop time (2-vCPU VM, Python 3.11.7, two runs):
+decoded once, from (name, exponent) pairs the output shares.
+
+One variable's exponents may ride in the numerators instead: Kronecker
+substitution in that variable alone (Fateman, "Can you save time in
+multiplying polynomials by encoding them as integers?", 2004).  The slot
+variable is the one whose exponent sum across the two sides is largest, at
+most _SLOT_MAX_EXPONENT.  Each factor becomes a map from the packed key of
+its other variables to one int, a slice, sum(c * 2**(width * e)) over its
+terms c * x**e * rest, so one C-level int multiply replaces every pair of
+terms that two slices hold.  No slot of the sum can pass sum |scale| *
+sum |left| * sum |right|, summed over the sum's pairs; a width one bit
+wider holds every slot, negative ones too, as a digit offset by half a
+slot.  Each output slice is decoded once, and the slot variable's (name, e)
+pair goes where its name sorts.  Over the whole exponent box the layout
+loses, since decoding visits every slot and sparse factors make the box huge
+(see ROADMAP); along one variable of a factor dense in total degree, every
+slot of every slice holds a term.  So a sum takes slices only where they
+fill: from _SLOT_MIN_PAIRS pairs of terms, with a slot variable, and where
+_slots_pay finds, from the slices' term counts and top exponents before any
+slice is built, that they at least halve the pairs, span at most four slots
+per term, and are at most _SLOT_MAX_BITS wide.  Otherwise the sum keeps one
+slot per term: the slot variable's field stays in the key.  Slice time over
+one-slot time on either side of each gate (same machine as below):
+
+    gate                    taken                  refused
+    slice / term pairs      0.23 - 0.36: 0.57-0.67 0.60 - 0.69: 0.83-1.02
+                                                   0.82 - 1.00: 1.09-2.66
+    slots spanned per term  2.0 - 3.7:   0.19-0.72 5.1 - 8.8:   0.67-2.52
+    width in bits           41 - 411:    0.19-0.70 809 - 6,011: 0.97-1.31
+    pairs of terms          256 - 600:   1.01      128 - 255:   1.21
+                            601 and up:  0.56
+
+The pairs and spans rows are single products of random factors; the spans
+row refuses 5.1 at widths near 64 (1.19) while widths near 16 still gain
+(0.67); the last row is ring's sums, three rounds of seed 1, with slices
+tried against never tried.  The exponent cap bounds the slot list and the
+size of each slice; slices still pay past it (a dense square of degree 120
+in x times 4 terms in y reads 0.05, of degree 60 0.09), so the cap, not the
+layout, leaves such sums on one slot per term.  Kernel time over
+direct-loop time, slices included (2-vCPU VM, Python 3.11.7, two seeds):
 
     pairs       dense, 2 variables   sparse, 6 variables   workloads' sums
-    < 64        0.86 - 2.6           1.7 - 3.0             1.6 - 2.5
-    64 - 127    0.40 - 1.06          1.6                   0.99 - 1.14
-    128 - 255   0.34 - 0.53          1.4 - 1.6             0.59 - 0.60
-    >= 256      0.16 - 0.40          0.88 - 1.3            0.23 - 0.44
+    < 64        1.5                  1.8 - 2.0             2.8 - 3.9
+    64 - 127    0.87 - 0.93          1.5 - 1.6             1.0 - 1.2
+    128 - 255   0.55 - 0.59          1.4                   0.64 - 0.66
+    >= 256      0.16 - 0.21          1.1 - 1.2             0.16 - 0.20
 
 The last column is every sum that one round of the ring and sweep workloads
-makes.  Below 128 only dense factors gain and the workloads' sums lose up to
-14%; from 128 all but sparse factors gain, so _PACKED_MIN_PAIRS = 128.
-Either value moves a ring round by about 1 ms.
+makes.  Only collisions repay packing, and a one-term factor makes none, so
+its pairs are not counted.  Below 128 every column loses; from 128 all but
+sparse factors gain, so _PACKED_MIN_PAIRS = 128.
 
 Powers square repeatedly through that kernel, except where every
 nonconstant term of the base is a power of a variable no other term holds:
@@ -99,6 +135,14 @@ Scalar = int | Fraction
 # pairs whose factors both have two or more terms, run on packed keys; see
 # the module docstring for the measurement behind the value.
 _PACKED_MIN_PAIRS = 128
+
+# Where packed sums may carry one variable's exponents in the numerators:
+# from this many pairs of terms, for a variable whose exponent sum stays
+# within the cap, in slots at most this many bits wide; see the module
+# docstring for the measurements behind the values.
+_SLOT_MIN_PAIRS = 256
+_SLOT_MAX_EXPONENT = 64
+_SLOT_MAX_BITS = 512
 
 # The widest packed key, in bits, that _ordered sorts by.  Wider keys would
 # make printing superlinear in the number of variables times the size of
@@ -268,7 +312,11 @@ def _packed_sum(reduced: Sequence[tuple[dict, dict, int, bool]], den: int) -> di
     # to (left, right, denominator, negate) entries, on packed exponent keys.
     # Each variable owns a bit field wide enough for the largest exponent sum
     # any product can reach, so adding two keys adds exponents field by field
-    # without carries, and the keys of distinct monomials stay distinct.
+    # without carries, and the keys of distinct monomials stay distinct.  The
+    # slot variable's field sits above the others; where slots pay, its
+    # exponents move into the numerators, each factor a map from the key of
+    # its other variables to one int sum(c * 2**(width * e)), so a pair of
+    # those slices costs one int multiply (see the module docstring).
     pairs_a = {pair for left, _, _, _ in reduced for mono in left for pair in mono}
     pairs_b = {pair for _, right, _, _ in reduced for mono in right for pair in mono}
     exponents: dict[str, tuple[list[int], list[int]]] = {}
@@ -278,23 +326,54 @@ def _packed_sum(reduced: Sequence[tuple[dict, dict, int, bool]], den: int) -> di
             if seen is None:
                 seen = exponents[name] = ([0], [0])
             seen[side].append(exponent)
+    tops = {name: max(xs) + max(ys) for name, (xs, ys) in exponents.items()}
+    term_pairs = sum([len(left) * len(right) for left, right, _, _ in reduced])
+    top, slot = max([(t, name) for name, t in tops.items() if t <= _SLOT_MAX_EXPONENT],
+                    default=(0, None)) if term_pairs >= _SLOT_MIN_PAIRS else (0, None)
     shifts: dict[str, int] = {}
-    fields = []
     shift = 0
-    for name in sorted(exponents):
-        xs, ys = exponents[name]
-        width = (max(xs) + max(ys)).bit_length()
+    for name in sorted(tops, key=lambda name: (name == slot, name)):
         shifts[name] = shift
-        fields.append((name, shift, (1 << width) - 1))
-        shift += width
+        shift += tops[name].bit_length()
     packed = {pair: pair[1] << shifts[pair[0]] for pair in pairs_a | pairs_b}.__getitem__
+    sides = [{sum(map(packed, mono)): c for mono, c in coeffs.items()}
+             for entry in reduced for coeffs in entry[:2]]
+    scales = [-(den // d) if negate else den // d for _, _, d, negate in reduced]
+    if slot is not None:
+        # No slot of the sum passes sum |scale| * sum |left| * sum |right| in
+        # size, which is below half a slot, so every slot decodes exactly: it
+        # is a digit in base 2**width, offset by half a slot so none borrows.
+        width = 1 + sum([abs(scale) * sum(map(abs, left.values())) * sum(map(abs, right.values()))
+                         for scale, (left, right, _, _) in zip(scales, reduced)]).bit_length()
+        high = shifts[slot]
+        low = (1 << high) - 1
+        # Each slice's top slot by the key of its other variables: in key
+        # order, a slice's last term holds its highest exponent.
+        ends = [{key & low: key >> high for key in sorted(side)} for side in sides]
+        if _slots_pay(
+            sum([len(a) * len(b) for a, b in zip(ends[::2], ends[1::2])]),
+            term_pairs,
+            sum([len(end) + sum(end.values()) for end in ends]),
+            sum(map(len, sides)),
+            width,
+        ):
+            mask, half = (1 << width) - 1, 1 << (width - 1)
+            slots = [(e * width, ((slot, e),) if e else ()) for e in range(top + 1)]
+            offset = sum([half << shift for shift, _ in slots])
+            sliced = []
+            for side in sides:
+                slices: dict[int, int] = {}
+                for key, c in side.items():
+                    slices[key & low] = slices.get(key & low, 0) + (c << width * (key >> high))
+                sliced.append(slices)
+            sides = sliced
+        else:
+            slot = None
     acc: dict[int, int] = {}
     get = acc.get
-    for left, right, d, negate in reduced:
-        scale = -(den // d) if negate else den // d
-        right = [(sum(map(packed, mono)), c) for mono, c in right.items()]
-        for mono_a, num_a in left.items():
-            key_a = sum(map(packed, mono_a))
+    for scale, left, right in zip(scales, sides[::2], sides[1::2]):
+        right = right.items()
+        for key_a, num_a in left.items():
             num_a *= scale
             for key_b, num_b in right:
                 key = key_a + key_b
@@ -303,23 +382,49 @@ def _packed_sum(reduced: Sequence[tuple[dict, dict, int, bool]], den: int) -> di
     # that the factors' exponent sums make, so the monomials share their
     # pairs, unless the tables would hold more pairs than the sum has terms
     # (exponents that rarely repeat), where they cost more than they save.
-    if sum([len(xs) * len(ys) for xs, ys in exponents.values()]) > len(acc):
-        return {
-            tuple([(name, e) for name, shift, mask in fields if (e := key >> shift & mask)]): num
-            for key, num in acc.items()
-            if num
+    direct = sum([len(xs) * len(ys) for xs, ys in exponents.values()]) > len(acc)
+    fields = []
+    for name in sorted(tops):
+        if name != slot:
+            xs, ys = exponents[name]
+            table = {} if direct else {x + y: (name, x + y) for x in xs for y in ys}
+            table[0] = None
+            fields.append((name, shifts[name], (1 << tops[name].bit_length()) - 1, table))
+    if direct:
+        decoded = {
+            tuple([(name, e) for name, shift, bits, _ in fields
+                   if (e := key >> shift & bits)]): num
+            for key, num in acc.items() if num
         }
-    tables = []
-    for name, shift, mask in fields:
-        xs, ys = exponents[name]
-        table = {x + y: (name, x + y) for x in xs for y in ys}
-        table[0] = None
-        tables.append((shift, mask, table))
-    return {
-        tuple([pair for shift, mask, table in tables if (pair := table[key >> shift & mask])]): num
-        for key, num in acc.items()
-        if num
-    }
+    else:
+        decoded = {
+            tuple([pair for _, shift, bits, table in fields
+                   if (pair := table[key >> shift & bits])]): num
+            for key, num in acc.items() if num
+        }
+    if slot is None:
+        return decoded
+    # Each slice decoded once; its slots' pairs go where the slot variable's
+    # name sorts among the others.
+    out: dict[Monomial, int] = {}
+    last = slot == max(tops)
+    for mono, num in decoded.items():
+        split = len(mono) if last else sum([name < slot for name, _ in mono])
+        head, tail = mono[:split], mono[split:]
+        span = slots[:num.bit_length() // width + 1]
+        num += offset
+        for shift, pair in span:
+            digit = num >> shift & mask
+            if digit != half:
+                out[head + pair + tail] = digit - half
+    return out
+
+
+def _slots_pay(slice_pairs: int, term_pairs: int, spans: int, terms: int, width: int) -> bool:
+    # Whether a sum runs on slices: they must at least halve the pairs of
+    # terms, span at most four slots per term they hold, and be at most
+    # _SLOT_MAX_BITS wide (see the module docstring).
+    return 2 * slice_pairs <= term_pairs and spans <= 4 * terms and width <= _SLOT_MAX_BITS
 
 
 def _separated_power(coeffs: Mapping[Monomial, int], n: int) -> dict[Monomial, int] | None:
@@ -405,7 +510,8 @@ def _add_into(acc: dict, entries: Mapping, negate=False) -> dict:
 
 def _common_denominator(dens: Iterable[int]) -> tuple[int, int]:
     # The lcm of the denominators, and Henrici's bound on the factor a sum
-    # over it can leave shared with every numerator.
+    # over it can leave shared with every numerator.  InputError as soon as
+    # the lcm passes _MAX_COEFF_BITS bits, before any numerator is scaled.
     den = bound = 1
     for d in dens:
         if d != 1:
@@ -413,6 +519,8 @@ def _common_denominator(dens: Iterable[int]) -> tuple[int, int]:
             if g != 1:
                 bound = math.lcm(bound, g)
             den = den // g * d
+            if (den - 1).bit_length() > _MAX_COEFF_BITS:  # as _check_power counts
+                raise InputError(f"denominator too large: it would pass {_MAX_COEFF_BITS} bits")
     return den, bound
 
 
@@ -552,7 +660,7 @@ class Expression:
         return not self._coeffs
 
     def variables(self) -> frozenset[str]:
-        return frozenset(v for mono in self._coeffs for v, _ in mono)
+        return frozenset({v for mono in self._coeffs for v, _ in mono})
 
     # -- ring operations ---------------------------------------------------
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import folicalc as fc
-from folicalc import Expression, dsl, parse_document, print_document
+from folicalc import Expression, dsl, expr, parse_document, print_document
 
 import faults
 import oracles
@@ -741,6 +741,30 @@ def test_a_number_past_the_bit_limit_is_refused_at_its_factor(monkeypatch, text,
 )
 def test_numbers_within_the_bit_limit_fold_on_both_paths(monkeypatch, text, expected):
     assert _both_paths(monkeypatch, fc.parse_expression, text) == (expected, expected)
+
+
+# Two terms whose denominators, 634 and 697 bits, fold to a 1,331-bit lcm.
+_PAST_LCM = "1/3^400 + 1/5^300"
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        (_PAST_LCM, 1),
+        (f"z1 - ({_PAST_LCM})", 7),
+        ("(1/3^400 + z1)*z2 - (1/5^300 + z1)*z2", 1),
+        ("(1/3^400 + z1)*(1/5^300 + z1)", 16),
+    ],
+    ids=["scanned sum", "sum in a group", "sum of groups", "product of groups"],
+)
+def test_a_common_denominator_past_the_bit_limit_is_refused_at_its_sum(monkeypatch, text, column):
+    # The sum's first token, or the group whose product passes the limit.
+    monkeypatch.setattr(expr, "_MAX_COEFF_BITS", 1000)
+    expected = ("denominator too large: it would pass 1000 bits", 1, column)
+    assert _both_paths(monkeypatch, fc.parse_expression, text) == (expected, expected)
+    # The same sums exactly at the limit still build.
+    monkeypatch.setattr(expr, "_MAX_COEFF_BITS", 1331)
+    fc.parse_expression(text)
 
 
 def test_the_public_document_constructor_checks_again(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -825,6 +826,140 @@ def test_product_sums_match_summed_products(threshold, pairs, repeat):
         assert total.is_zero()
 
 
+# -- products: one variable's exponents in the numerators --------------------------
+
+# Both layouts of a packed sum: slices wherever a slot variable exists, and
+# one slot per term.  Every sum runs on packed keys either way.
+slot_paths = pytest.mark.parametrize("slots", [True, False])
+
+
+def _slots_forced(slots):
+    # Slices for every sum with a slot variable, or for none; returns the
+    # saved settings for _restore.
+    saved = expr_module._SLOT_MIN_PAIRS, expr_module._slots_pay
+    expr_module._SLOT_MIN_PAIRS = 0 if slots else math.inf
+    expr_module._slots_pay = lambda *_: True
+    return saved
+
+
+def _restore(saved):
+    expr_module._SLOT_MIN_PAIRS, expr_module._slots_pay = saved
+
+
+def _sliced_sum_at(slots, pairs):
+    saved, packed = _slots_forced(slots), expr_module._PACKED_MIN_PAIRS
+    expr_module._PACKED_MIN_PAIRS = 0
+    try:
+        return expr_module._product_sum(pairs)
+    finally:
+        _restore(saved)
+        expr_module._PACKED_MIN_PAIRS = packed
+
+
+# Small numerators of both signs, and numerators at and around powers of two
+# near machine words, where the slot width changes by one bit.
+slot_numerators = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda sign, k, d: sign * (2**k + d),
+              st.sampled_from((1, -1)), st.sampled_from((31, 32, 63, 64)), st.integers(-1, 1)),
+)
+
+
+@st.composite
+def dense_factors(draw):
+    # Every monomial of total degree at most d in two or three variables,
+    # over one of a few denominators, so sums mix denominators.
+    names = draw(st.sampled_from([("x", "y"), ("x", "z1"), ("x", "y", "z1")]))
+    degree = draw(st.integers(0, 5))
+    den = draw(st.sampled_from((1, 2, 3, 6, 35)))
+    return Expression({
+        tuple((name, e) for name, e in zip(names, exponents) if e):
+            Fraction(draw(slot_numerators), den)
+        for exponents in itertools.product(range(degree + 1), repeat=len(names))
+        if sum(exponents) <= degree
+    })
+
+
+@slot_paths
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.tuples(dense_factors(), dense_factors(), st.booleans()), min_size=1, max_size=3),
+    st.sampled_from(["once", "cancel", "twice"]),
+)
+# One slot at exactly the bound: the two entries' products add, c*c twice.
+@example(pairs=[(Expression.constant(-(2**63)) * z1, Expression.constant(2**63) * z1, True)],
+         repeat="twice")
+def test_sliced_sums_match_schoolbook_products(slots, pairs, repeat):
+    # As test_product_sums_match_summed_products, over factors dense in total
+    # degree: "cancel" cancels every slot of every slice, and (a + b)(a - b)
+    # cancels its cross terms inside slots.
+    if repeat == "cancel":
+        pairs = pairs + [(b, a, not negate) for a, b, negate in pairs]
+    elif repeat == "twice":
+        pairs = pairs + pairs
+    total = _sliced_sum_at(slots, pairs)
+    _assert_layout(total, oracles.dict_sum(
+        [oracles.schoolbook_product(a, b) for a, b, negate in pairs if not negate],
+        [oracles.schoolbook_product(a, b) for a, b, negate in pairs if negate],
+    ))
+    if repeat == "cancel":
+        assert total.is_zero()
+    a, b, _ = pairs[0]
+    _assert_layout(_sliced_sum_at(slots, [(a + b, a - b, False)]),
+                   oracles.schoolbook_product(a + b, a - b))
+
+
+def test_sliced_products_keep_every_variable_in_name_order():
+    # The slot variable is spliced between the names that sort before and
+    # after it, whichever variable that is and whichever others a slice has.
+    for names in (("a", "m", "z"), ("m", "a", "z"), ("z", "m", "a")):
+        a = Expression.sum(Expression.variable(n) ** k for k, n in enumerate(names, 1))
+        big = (a + 1) ** 4
+        pairs = [(big, big, False)]
+        assert _sliced_sum_at(True, pairs) == _sliced_sum_at(False, pairs)
+
+
+def _timed(a, b):
+    # The best of three products a * b.
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        a * b
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def _timed_on_one_slot(a, b):
+    saved = _slots_forced(False)
+    try:
+        return _timed(a, b)
+    finally:
+        _restore(saved)
+
+
+def test_dense_products_run_on_slots_and_wide_ones_keep_one_slot_per_term():
+    # (1 + z1 + 2*z2)^30 is dense in total degree: its square costs 31 slices
+    # squared, not 496 terms squared (3.7 - 4.1 against 26.1 - 28.9 ms).
+    p = fc.parse_expression("1+z1+2*z2") ** 30
+    gated, single = _timed(p, p), _timed_on_one_slot(p, p)
+    assert gated < 0.5 * single, (gated, single)
+    # 60 x 60 terms of 3,000-bit numerators: slots would be about 6,000 bits
+    # wide and cost more than they save, so the width gate keeps one slot
+    # per term.
+    rng = random.Random(4)
+
+    def wide():
+        return Expression({
+            mono(z1=i, z2=j) if i and j else mono(z1=i) if i else mono(z2=j) if j else ():
+            rng.getrandbits(3000) - 2**2999
+            for i in range(6) for j in range(10)
+        })
+
+    a, b = wide(), wide()
+    gated, single = _timed(a, b), _timed_on_one_slot(a, b)
+    assert gated < 1.3 * single, (gated, single)
+
+
 @settings(deadline=None)
 @given(tiny_factors, st.integers(0, 4), st.sampled_from(layout_names), tiny_factors, tiny_factors)
 # Unbound variables with high exponents stay in each term's monomial.
@@ -1094,6 +1229,30 @@ def test_powers_at_the_size_limits_still_build(monkeypatch):
     assert len(((1 + z1 + z2) ** 12).terms) == 91
     with pytest.raises(fc.InputError, match="more than 91 terms"):
         (1 + z1 + z2) ** 13
+
+
+def test_a_sum_whose_common_denominator_passes_the_bit_limit_is_refused():
+    # Each denominator has about a million bits, inside the limit; their lcm
+    # passes it at the second one, and the sum stops there instead of
+    # scaling four numerators to four million bits (17.7 s to build).
+    terms = [Expression.constant(Fraction(1, p**k))
+             for p, k in ((3, 630929), (5, 430676), (7, 356207), (11, 289064))]
+    start = time.perf_counter()
+    with pytest.raises(fc.InputError, match="^denominator too large: it would pass 1048576 bits$"):
+        Expression.sum(terms)
+    assert time.perf_counter() - start < 5
+    # The limit counts bits of den - 1, as the power check does: 2**1024 is
+    # the largest denominator at a limit of 1024 bits.
+    saved = expr_module._MAX_COEFF_BITS
+    expr_module._MAX_COEFF_BITS = 1024
+    try:
+        assert (Fraction(1, 2**1023) + z1 * Fraction(1, 2**1024))._den == 2**1024
+        with pytest.raises(fc.InputError, match="^denominator too large"):
+            Fraction(1, 3) + z1 * Fraction(1, 2**1024)
+        with pytest.raises(fc.InputError, match="^denominator too large"):
+            (z1 * Fraction(1, 3)) * (z2 * Fraction(1, 2**1024))
+    finally:
+        expr_module._MAX_COEFF_BITS = saved
 
 
 @settings(deadline=None, max_examples=150)
