@@ -21,7 +21,7 @@ from .charts import (
     is_foliated_function,
 )
 from .connections import Connection, LeafwiseConnection, restrict_connection
-from .dsl import DeclaredTransition, Document, DocumentObject
+from .dsl import DeclaredTransition, Document
 from .errors import InputError
 from .extension import Splitting, _dependence, _extensions, extend_connection
 from .expr import _product_sum
@@ -105,12 +105,6 @@ def run_command(verb: str, document: Document, names=()) -> Report:
     return Report(verb, handler(document, names))
 
 
-def _expect_kind(obj: DocumentObject, kinds: tuple[str, ...], verb: str):
-    if obj.kind not in kinds:
-        wanted = " or ".join(kinds)
-        raise InputError(f"{verb}: object {obj.name!r} has kind {obj.kind!r}, expected {wanted}")
-
-
 def _run_check(document: Document, names) -> list[CheckResult]:
     if names:
         raise InputError("check takes no --name arguments")
@@ -157,11 +151,22 @@ def _run_check(document: Document, names) -> list[CheckResult]:
     return results
 
 
+def _named(document: Document, names, verb: str, kinds: tuple[str, ...], count: int):
+    # The objects a diff, wedge or restrict names: count of them, each of
+    # one of kinds.
+    if len(names) != count:
+        wanted = "one --name" if count == 1 else "two --name arguments"
+        raise InputError(f"{verb} takes exactly {wanted}")
+    objects = [document.lookup(name) for name in names]
+    for obj in objects:
+        if obj.kind not in kinds:
+            raise InputError(f"{verb}: object {obj.name!r} has kind {obj.kind!r}, "
+                             f"expected {' or '.join(kinds)}")
+    return objects
+
+
 def _run_diff(document: Document, names) -> list[CheckResult]:
-    if len(names) != 1:
-        raise InputError("diff takes exactly one --name")
-    obj = document.lookup(names[0])
-    _expect_kind(obj, ("form", "exterior_form"), "diff")
+    (obj,) = _named(document, names, "diff", ("form", "exterior_form"), 1)
     if obj.kind == "form":
         result = leafwise_differential(obj.value)
     else:
@@ -170,12 +175,7 @@ def _run_diff(document: Document, names) -> list[CheckResult]:
 
 
 def _run_wedge(document: Document, names) -> list[CheckResult]:
-    if len(names) != 2:
-        raise InputError("wedge takes exactly two --name arguments")
-    left = document.lookup(names[0])
-    right = document.lookup(names[1])
-    for obj in (left, right):
-        _expect_kind(obj, ("form", "exterior_form"), "wedge")
+    left, right = _named(document, names, "wedge", ("form", "exterior_form"), 2)
     if left.kind != right.kind:
         raise InputError(
             f"wedge: {left.name!r} and {right.name!r} are forms of different kinds"
@@ -185,10 +185,7 @@ def _run_wedge(document: Document, names) -> list[CheckResult]:
 
 
 def _run_restrict(document: Document, names) -> list[CheckResult]:
-    if len(names) != 1:
-        raise InputError("restrict takes exactly one --name")
-    obj = document.lookup(names[0])
-    _expect_kind(obj, ("exterior_form", "connection"), "restrict")
+    (obj,) = _named(document, names, "restrict", ("exterior_form", "connection"), 1)
     if obj.kind == "exterior_form":
         return [CheckResult(f"restrict.{obj.name}", "pass", str(restrict_form(obj.value)))]
     restricted = restrict_connection(obj.value)

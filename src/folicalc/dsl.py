@@ -249,6 +249,14 @@ class _Parser:
     def error(self, message: str, token: Token | None = None):
         raise _error_at(token or self.token, message)
 
+    def ring(self, token: Token, operation, *args):
+        # operation(*args), with a ring operation's InputError (a result past
+        # expr's size limits) reported at token.
+        try:
+            return operation(*args)
+        except InputError as error:
+            self.error(str(error), token)
+
     def current(self, kind: str, description: str) -> Token:
         token = self.token
         if token.kind != kind:
@@ -276,10 +284,7 @@ class _Parser:
             (added if op.kind == "+" else subtracted).append(self._term())
         if len(added) == 1 and not subtracted:
             return added[0]  # a term or a scanned sum is canonical already
-        try:
-            return Expression.sum(added, subtracted)
-        except InputError as error:  # a common denominator past expr's limits
-            self.error(str(error), start)
+        return self.ring(start, Expression.sum, added, subtracted)
 
     def _scan_terms(self, added: list):
         # The sum of the leading run of flat terms, one _TERM_RE match and
@@ -307,10 +312,7 @@ class _Parser:
             entries.append((monomial, numerator if op == "+" else -numerator, denominator))
             pos = match.end()
         if entries:
-            try:
-                added.append(_entry_sum(entries))
-            except InputError as error:  # a common denominator past expr's limits
-                self.error(str(error))
+            added.append(self.ring(self.token, _entry_sum, entries))
             self.token = _token_at(text, pos)
 
     def _term(self) -> Expression:
@@ -323,10 +325,7 @@ class _Parser:
             self.error(str(error), self.factor)
         term = Expression._build({monomial: numerator} if numerator else {}, denominator)
         for token, group in groups if numerator else ():
-            try:
-                term = term * group
-            except InputError as error:  # a common denominator past expr's limits
-                self.error(str(error), token)
+            term = self.ring(token, term.__mul__, group)
         return term
 
     def _factors(self, groups: list) -> Iterator[tuple]:
@@ -370,10 +369,8 @@ class _Parser:
                 self.advance()
             if kind == "(" and group.variables():
                 if power:
-                    try:
-                        groups.append((token, group if power == 1 else group**power))
-                    except InputError as error:  # a power past expr's limits
-                        self.error(str(error), token)
+                    raised = group if power == 1 else self.ring(token, pow, group, power)
+                    groups.append((token, raised))
                 base = 1
             elif kind == "(":
                 value = group.evaluate({})
@@ -566,21 +563,6 @@ def parse_document(text: str) -> Document:
 # -- semantic construction ------------------------------------------------------
 
 
-def _directive_map(block: RawBlock, allowed: tuple[str, ...]) -> dict[str, RawDirective]:
-    out: dict[str, RawDirective] = {}
-    for item in block.items:
-        if isinstance(item, RawAssign):
-            raise _error_at(item.key, f"{block.kind.text} block takes no assignments")
-        if item.key.text not in allowed:
-            raise _error_at(
-                item.key, f"unknown item {item.key.text!r} in {block.kind.text} block"
-            )
-        if item.key.text in out:
-            raise _error_at(item.key, f"duplicate {item.key.text!r} item")
-        out[item.key.text] = item
-    return out
-
-
 def _natural(directive: RawDirective, what: str) -> int:
     token = directive.values[0]
     if token.kind != "number":
@@ -595,21 +577,36 @@ def _name_list(directive: RawDirective, what: str) -> list[Token]:
     return directive.values
 
 
-def _build_chart(blocks: list[RawBlock]) -> Chart:
-    manifolds = [b for b in blocks if b.kind.text == "manifold"]
-    if not manifolds:
-        first = blocks[0].kind
-        raise _error_at(first, "a manifold block is required")
-    if len(manifolds) > 1:
-        extra = manifolds[1].kind
-        raise _error_at(extra, "duplicate manifold block")
-    manifold = manifolds[0]
-    if manifold.name is not None:
-        raise _error_at(manifold.name, "a manifold block takes no name")
-    directives = _directive_map(manifold, ("dim", "leaf", "coords"))
-    for required in ("dim", "leaf", "coords"):
+def _setup_block(blocks: list[RawBlock], kind: str, items: tuple[str, ...]):
+    # The directives of the one unnamed `kind` block by key, every item
+    # given once and nothing else, or None if there is no such block.
+    found = [b for b in blocks if b.kind.text == kind]
+    if len(found) > 1:
+        raise _error_at(found[1].kind, f"duplicate {kind} block")
+    if not found:
+        return None
+    block = found[0]
+    if block.name is not None:
+        raise _error_at(block.name, f"a {kind} block takes no name")
+    directives: dict[str, RawDirective] = {}
+    for item in block.items:
+        if isinstance(item, RawAssign):
+            raise _error_at(item.key, f"{kind} block takes no assignments")
+        if item.key.text not in items:
+            raise _error_at(item.key, f"unknown item {item.key.text!r} in {kind} block")
+        if item.key.text in directives:
+            raise _error_at(item.key, f"duplicate {item.key.text!r} item")
+        directives[item.key.text] = item
+    for required in items:
         if required not in directives:
-            raise _error_at(manifold.kind, f"manifold block needs a {required!r} item")
+            raise _error_at(block.kind, f"{kind} block needs a {required!r} item")
+    return directives
+
+
+def _build_chart(blocks: list[RawBlock]) -> Chart:
+    directives = _setup_block(blocks, "manifold", ("dim", "leaf", "coords"))
+    if directives is None:
+        raise _error_at(blocks[0].kind, "a manifold block is required")
     dim = _natural(directives["dim"], "dim")
     leaf = _natural(directives["leaf"], "leaf")
     coord_tokens = _name_list(directives["coords"], "coords")
@@ -629,19 +626,9 @@ def _build_chart(blocks: list[RawBlock]) -> Chart:
         seen.add(token.text)
     names = [t.text for t in coord_tokens]
     base = AdaptedChart(tuple(names[:leaf]), tuple(names[leaf:]))
-
-    bundles = [b for b in blocks if b.kind.text == "bundle"]
-    if len(bundles) > 1:
-        extra = bundles[1].kind
-        raise _error_at(extra, "duplicate bundle block")
-    if not bundles:
+    fibre_directives = _setup_block(blocks, "bundle", ("fibre",))
+    if fibre_directives is None:
         return base
-    bundle = bundles[0]
-    if bundle.name is not None:
-        raise _error_at(bundle.name, "a bundle block takes no name")
-    fibre_directives = _directive_map(bundle, ("fibre",))
-    if "fibre" not in fibre_directives:
-        raise _error_at(bundle.kind, "bundle block needs a 'fibre' item")
     fibre_tokens = _name_list(fibre_directives["fibre"], "fibre")
     for token in fibre_tokens:
         if token.text in names:

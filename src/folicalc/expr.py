@@ -156,6 +156,7 @@ _ORDER_KEY_BITS = 256
 # 1 + z1 + z2 with 99,681 terms takes 0.56 s and 46 MB (2-vCPU VM, Python 3.11).
 _MAX_COEFF_BITS = 1 << 20
 _MAX_TERMS = 100_000
+_MAX_PAIRS = 10_000_000
 
 
 def is_identifier(name: str) -> bool:
@@ -273,7 +274,8 @@ def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "E
     # lcm of the reduced denominators as its left numerators are read.
     reduced = []
     dens = []
-    count = 0
+    sizes = []
+    count = term_pairs = 0
     for a, b, negate in pairs:
         left, right = a._coeffs, b._coeffs
         if not left or not right:
@@ -287,13 +289,19 @@ def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "E
             den_a //= g
         dens.append(den_a * den_b)
         reduced.append((left, right, dens[-1], negate))
+        sizes.append(sum(map(abs, left.values())) * sum(map(abs, right.values())))
         if len(left) > 1 and len(right) > 1:
             count += len(left) * len(right)
+        term_pairs += len(left) * len(right)
     if not reduced:
         return Expression._build({})
     den, bound = _common_denominator(dens)
-    if count >= _PACKED_MIN_PAIRS:
-        return _reduced(_packed_sum(reduced, den), den, bound)
+    # No numerator of the sum over den passes sum |scale| * sum |left| * sum |right|.
+    largest = sum([den // d * size for d, size in zip(dens, sizes)])
+    if (largest - 1).bit_length() > _MAX_COEFF_BITS:  # as _check_power counts
+        raise InputError(f"product too large: a coefficient would pass {_MAX_COEFF_BITS} bits")
+    if count >= _PACKED_MIN_PAIRS or term_pairs > _MAX_TERMS:
+        return _reduced(_packed_sum(reduced, den, largest, term_pairs), den, bound)
     acc: dict[Monomial, int] = {}
     for left, right, d, negate in reduced:
         scale = -(den // d) if negate else den // d
@@ -307,7 +315,9 @@ def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "E
     return _reduced(acc, den, bound)
 
 
-def _packed_sum(reduced: Sequence[tuple[dict, dict, int, bool]], den: int) -> dict[Monomial, int]:
+def _packed_sum(
+    reduced: Sequence[tuple[dict, dict, int, bool]], den: int, largest: int, term_pairs: int
+) -> dict[Monomial, int]:
     # The nonzero numerators over den of the sum that _product_sum reduced
     # to (left, right, denominator, negate) entries, on packed exponent keys.
     # Each variable owns a bit field wide enough for the largest exponent sum
@@ -327,7 +337,14 @@ def _packed_sum(reduced: Sequence[tuple[dict, dict, int, bool]], den: int) -> di
                 seen = exponents[name] = ([0], [0])
             seen[side].append(exponent)
     tops = {name: max(xs) + max(ys) for name, (xs, ys) in exponents.items()}
-    term_pairs = sum([len(left) * len(right) for left, right, _, _ in reduced])
+    if term_pairs > _MAX_PAIRS:
+        raise InputError(f"product too large: it would take more than {_MAX_PAIRS} pairs of terms")
+    # At most min(term pairs, the product of each variable's top exponent + 1) terms.
+    size = 1
+    for t in tops.values():
+        size = min(size * (t + 1), term_pairs)
+    if size > _MAX_TERMS:
+        raise InputError(f"product too large: it would have more than {_MAX_TERMS} terms")
     top, slot = max([(t, name) for name, t in tops.items() if t <= _SLOT_MAX_EXPONENT],
                     default=(0, None)) if term_pairs >= _SLOT_MIN_PAIRS else (0, None)
     shifts: dict[str, int] = {}
@@ -340,11 +357,10 @@ def _packed_sum(reduced: Sequence[tuple[dict, dict, int, bool]], den: int) -> di
              for entry in reduced for coeffs in entry[:2]]
     scales = [-(den // d) if negate else den // d for _, _, d, negate in reduced]
     if slot is not None:
-        # No slot of the sum passes sum |scale| * sum |left| * sum |right| in
-        # size, which is below half a slot, so every slot decodes exactly: it
-        # is a digit in base 2**width, offset by half a slot so none borrows.
-        width = 1 + sum([abs(scale) * sum(map(abs, left.values())) * sum(map(abs, right.values()))
-                         for scale, (left, right, _, _) in zip(scales, reduced)]).bit_length()
+        # No slot of the sum passes largest in size, which is below half a
+        # slot, so every slot decodes exactly: it is a digit in base
+        # 2**width, offset by half a slot so none borrows.
+        width = 1 + largest.bit_length()
         high = shifts[slot]
         low = (1 << high) - 1
         # Each slice's top slot by the key of its other variables: in key
