@@ -47,8 +47,10 @@ just the sign (-1)^(minus signs * n) of the whole term, and `-z1^2` is
 whose value is a number folds as that number; any other group is raised to
 its power and multiplied in.  A number factor that would take the term's
 numerator or denominator past expr's bit limit is refused, before its
-power or product is computed, with a ParseError at the factor, and so is a
-power that Expression.__pow__ refuses, at its group's '('.
+power or product is computed, with a ParseError at the factor.  A ring
+operation that expr refuses for its size is reported through one parser
+method: a group's power or product at the group's '(', a sum whose common
+denominator passes the bit limit at the sum's first token.
 
 Canonical sums are read a term at a time.  Where a sum starts with a
 number, a name, '-' or '(', at any nesting depth (an assignment's right-hand

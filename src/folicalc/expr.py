@@ -112,7 +112,15 @@ of sparse polynomials", Studies in Applied Mathematics 53, 1974).  The
 result over den^n is canonical by Gauss's lemma: the content of P^n is the
 content of P to the n, which shares no prime with den.  Either way a power
 first predicts its size, and one past _MAX_TERMS terms or _MAX_COEFF_BITS
-bits is an InputError before anything is built (see _check_power).
+bits is an InputError before anything is built (see _check_power).  Sums
+and products are bounded before their work too: _common_denominator
+refuses an lcm past _MAX_COEFF_BITS bits, _product_sum a sum whose
+numerators could pass it (no numerator passes sum |scale| * sum |left| *
+sum |right|), and _packed_sum, before its pair loop, a sum of more than
+_MAX_PAIRS pairs of terms or of more than _MAX_TERMS predicted terms, at
+most min(pairs of terms, the product of each variable's top exponent + 1).
+A sum with more pairs of terms than _MAX_TERMS runs packed, so that no sum
+gets round the term limit.
 """
 
 from __future__ import annotations
@@ -150,10 +158,14 @@ _SLOT_MAX_BITS = 512
 _ORDER_KEY_BITS = 256
 
 # Fixed size limits, checked before the work is created: the bits of a
-# coefficient's numerator or denominator (dsl._fold's literal powers and
-# Expression.__pow__) and the terms of a power.  The tests' and benchmark
-# workloads' powers predict at most 12,341 terms and 80 bits; a power of
-# 1 + z1 + z2 with 99,681 terms takes 0.56 s and 46 MB (2-vCPU VM, Python 3.11).
+# coefficient's numerator or denominator (dsl._fold's literal powers, powers,
+# products and sums), the terms of a power or a product, and the pairs of
+# terms of a product.  The tests' and benchmark workloads' powers predict at
+# most 12,341 terms and 80 bits; a power of 1 + z1 + z2 with 99,681 terms
+# takes 0.56 s and 46 MB.  Their largest product sums take 246,016 pairs of
+# terms (tests) and 52,920 (ring); the dense square of a 3,162-term
+# univariate polynomial, 9,998,244 pairs of terms past the slot cap, takes
+# 0.56 s (2-vCPU VM, Python 3.11).
 _MAX_COEFF_BITS = 1 << 20
 _MAX_TERMS = 100_000
 _MAX_PAIRS = 10_000_000

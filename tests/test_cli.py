@@ -377,6 +377,27 @@ def test_group_power_past_the_size_limits_exits_2(tmp_path, capsys, value, messa
     assert errtext == f"{doc}:3:14: power too large: {message}\n"
 
 
+def test_products_past_the_size_limits_exit_2(tmp_path, capsys):
+    # A product of named groups past the bit limit is refused at the group's
+    # '('; the Leibniz check's p ^ dp, 141 million pairs of terms, is refused
+    # before its pair loop, with no position.
+    for value, expected in (
+        ("*".join(["(9^300000*z1)"] * 6), "{}:3:21: product too large: a coefficient would pass"),
+        ("(1+z1+z2+z3)^40", "error: product too large: it would take more than 10000000 pairs"),
+    ):
+        doc = tmp_path / "huge.fol"
+        doc.write_text(
+            "manifold { dim 4 leaf 2 coords z1 z2 z3 z4 }\n"
+            "form p {\n  p = " + value + "\n}\n"
+        )
+        start = time.perf_counter()
+        code, out, errtext = run(capsys, "check", doc)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert errtext.startswith(expected.format(doc))
+
+
 def test_unprintable_coefficient_exits_2(tmp_path, capsys):
     # 10^5000 is computed, not written as a literal, so it parses; printing
     # it would pass the interpreter's int/str digit limit.

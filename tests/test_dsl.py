@@ -767,6 +767,27 @@ def test_a_common_denominator_past_the_bit_limit_is_refused_at_its_sum(monkeypat
     fc.parse_expression(text)
 
 
+# Six groups of 951,000-bit numerators: the second one's product passes the
+# bit limit, and the sum or group that holds it reports at its '('.
+_GROUPS = "*".join(["(9^300000*z1)"] * 6)
+
+
+@pytest.mark.parametrize("text, column", [(_GROUPS, 15), (f"z2 + z2*{_GROUPS}", 23),
+                                          (f"z2 - ({_GROUPS} + z1)", 21)],
+                         ids=["term", "in a sum", "in a group"])
+def test_a_product_past_the_bit_limit_is_refused_at_its_group(monkeypatch, text, column):
+    expected = ("product too large: a coefficient would pass 1048576 bits", 1, column)
+    start = time.perf_counter()
+    assert _both_paths(monkeypatch, fc.parse_expression, text) == (expected, expected)
+    assert time.perf_counter() - start < 2  # two parses
+    # At a raised limit the product is refused at the first group that
+    # takes it past: three groups fit exactly, the fourth is refused.
+    three = (9**900000 - 1).bit_length()
+    for limit, group in ((three - 1, 3), (three, 4)):
+        monkeypatch.setattr(expr, "_MAX_COEFF_BITS", limit)
+        assert _outcome(fc.parse_expression, text)[1:] == (1, column + 14 * (group - 2))
+
+
 def test_the_public_document_constructor_checks_again(monkeypatch):
     # _build_document checks each block as it builds it, and the parsed
     # Document skips its constructor's checks (test_cli's build table pins

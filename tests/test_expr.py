@@ -1273,6 +1273,90 @@ def test_a_power_that_is_not_refused_stays_within_the_limits(base, n, terms, bit
     assert max([power._den, *map(abs, power._coeffs.values())]).bit_length() <= bits + 1
 
 
+# -- bounded products: the size is bounded before the pair loop --------------------
+
+
+def test_products_past_the_size_limits_are_refused_before_any_work():
+    # Two factors with 951,000-bit numerators would make a 1.9-million-bit
+    # one; the 12,341-term square of a power would take 152 million pairs.
+    big = fc.parse_expression("9^300000*z1")
+    dense = (1 + z1 + z2 + z3) ** 40
+    for left, right, message in (
+        (big, big, "a coefficient would pass 1048576 bits"),
+        (dense, dense, "it would take more than 10000000 pairs of terms"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(fc.InputError, match=f"^product too large: {message}$"):
+            left * right
+        assert time.perf_counter() - start < 1
+
+
+def test_products_at_the_size_limits_still_build(monkeypatch):
+    # Coefficients: no numerator passes sum |scale| * sum |left| * sum |right|,
+    # counted as bits of that bound - 1, as the power check counts.
+    monkeypatch.setattr(expr_module, "_MAX_COEFF_BITS", 64)
+    assert (2**32 * z1) * (2**32 * z2) == Expression({mono(z1=1, z2=1): 2**64})
+    with pytest.raises(fc.InputError, match="^product too large: a coefficient would pass 64 bits$"):
+        (2**32 * z1) * ((2**32 + 1) * z2)
+    # Each pair counts at its scale to the common denominator, 2 here: the
+    # bound is 2 * 2**63 + 1 whatever the signs.
+    half = Fraction(1, 2) * z1
+    assert expr_module._product_sum([(2**32 * z1, 2**31 * z2, False)]) == 2**63 * z1 * z2
+    for negate in (False, True):
+        with pytest.raises(fc.InputError, match="would pass 64 bits"):
+            expr_module._product_sum([(2**32 * z1, 2**31 * z2, False), (half, z2, negate)])
+    # Pairs of terms: 16 x 16 univariate terms at a limit of 256 pairs.
+    x16, x17 = (Expression.sum([z1**i for i in range(n)]) for n in (16, 17))
+    monkeypatch.setattr(expr_module, "_MAX_PAIRS", 256)
+    assert len((x16 * x16).terms) == 31
+    with pytest.raises(fc.InputError, match="^product too large: it would take more than 256 pairs of terms$"):
+        x16 * x17
+    # Terms: at most min(pairs of terms, the product of each variable's top
+    # exponent + 1).  The square of x16 has top exponent 30, so 31 terms; 12
+    # names times 12 others make 144 pairs and 144 terms.
+    monkeypatch.setattr(expr_module, "_MAX_TERMS", 31)
+    assert len((x16 * x16).terms) == 31
+    monkeypatch.setattr(expr_module, "_MAX_TERMS", 30)
+    with pytest.raises(fc.InputError, match="^product too large: it would have more than 30 terms$"):
+        x16 * x16
+    xs, ys = (Expression.sum([Expression.variable(f"{v}{i}") for i in range(12)]) for v in "xy")
+    monkeypatch.setattr(expr_module, "_MAX_TERMS", 144)
+    grid = xs * ys
+    assert len(grid.terms) == 144
+    monkeypatch.setattr(expr_module, "_MAX_TERMS", 143)
+    with pytest.raises(fc.InputError, match="more than 143 terms"):
+        xs * ys
+    # A one-term factor makes no pair the packed kernel counts, but a sum of
+    # more pairs of terms than the term limit is checked there all the same.
+    with pytest.raises(fc.InputError, match="more than 143 terms"):
+        z1 * grid
+
+
+@kernel_paths
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(st.tuples(small_factors, small_factors, st.booleans()), max_size=4),
+    st.integers(1, 60),
+    st.integers(0, 160),
+    st.integers(1, 100),
+)
+def test_a_product_sum_that_is_not_refused_stays_within_the_limits(threshold, pairs, terms, bits,
+                                                                   most_pairs):
+    # The checks are upper bounds: under any limits, a sum they let through
+    # has at most that many terms, and numerators and a denominator of at
+    # most one bit more than the limit (they count bits of the bound - 1).
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr_module, "_MAX_TERMS", terms)
+        patch.setattr(expr_module, "_MAX_COEFF_BITS", bits)
+        patch.setattr(expr_module, "_MAX_PAIRS", most_pairs)
+        try:
+            total = _product_sum_at(threshold, pairs)
+        except fc.InputError:
+            return
+    assert len(total._coeffs) <= terms
+    assert max([total._den, *map(abs, total._coeffs.values())]).bit_length() <= bits + 1
+
+
 def test_substitute_and_evaluate_name_the_binding_they_cannot_use():
     with pytest.raises(fc.InputError, match="^binding for 'z1' is not an expression$"):
         z1.substitute({"z1": "z2"})

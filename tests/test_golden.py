@@ -219,7 +219,7 @@ DOCUMENT_ERRORS = [
     ("manifold { dim 3 leaf 2 coords z1 z2 z3 z4 }", "1:25: coords lists 4 names, dim is 3"),
     ("manifold { dim 3 leaf 2 coords z1 z2 z1 }", "1:38: duplicate coordinate 'z1'"),
     ("manifold M { dim 2 leaf 1 coords z1 z2 }", "1:10: a manifold block takes no name"),
-    # _directive_map
+    # _setup_block: the items of either block
     ("manifold { dim 4 dim 4 leaf 2 coords z1 z2 z3 z4 }", "1:18: duplicate 'dim' item"),
     ("manifold { dim 4 leaf 2 coords z1 z2 z3 z4 w[z1] = 1 }", "1:44: manifold block takes no assignments"),
     (BASE + "bundle { dim 2 }", "2:10: unknown item 'dim' in bundle block"),
