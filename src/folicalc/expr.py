@@ -112,15 +112,20 @@ of sparse polynomials", Studies in Applied Mathematics 53, 1974).  The
 result over den^n is canonical by Gauss's lemma: the content of P^n is the
 content of P to the n, which shares no prime with den.  Either way a power
 first predicts its size, and one past _MAX_TERMS terms or _MAX_COEFF_BITS
-bits is an InputError before anything is built (see _check_power).  Sums
-and products are bounded before their work too: _common_denominator
-refuses an lcm past _MAX_COEFF_BITS bits, _product_sum a sum whose
-numerators could pass it (no numerator passes sum |scale| * sum |left| *
-sum |right|), and _packed_sum, before its pair loop, a sum of more than
-_MAX_PAIRS pairs of terms or of more than _MAX_TERMS predicted terms, at
-most min(pairs of terms, the product of each variable's top exponent + 1).
-A sum with more pairs of terms than _MAX_TERMS runs packed, so that no sum
-gets round the term limit.
+bits is an InputError before anything is built (see _check_power), and a
+squaring of more than _MAX_PAIRS pairs of terms is one before it is
+multiplied.  Sums and products are bounded before their work too:
+_common_denominator refuses an lcm past _MAX_COEFF_BITS bits, and
+_product_sum a sum whose numerators could pass it (no numerator passes
+sum |scale| * sum |left| * sum |right|) or that takes more than _MAX_PAIRS
+pairs of terms.  Its terms are counted as they are made: either kernel
+refuses a sum once the monomials it has reached pass _MAX_TERMS, checked
+after each left term and, where slots run, after each slice is decoded;
+a bound from the factors' exponents alone refuses sums whose pairs mostly
+collide, like the squarings of (z1*z2 + z2*z3 + z1*z3)^64.  Monomials that
+cancel count until the end, so the products of a power to the n never
+pass the bound _check_power admitted: each monomial they reach is a
+product of at most n terms of the base, and that bound grows with n.
 """
 
 from __future__ import annotations
@@ -157,10 +162,11 @@ _SLOT_MAX_BITS = 512
 # their exponents.
 _ORDER_KEY_BITS = 256
 
-# Fixed size limits, checked before the work is created: the bits of a
-# coefficient's numerator or denominator (dsl._fold's literal powers, powers,
-# products and sums), the terms of a power or a product, and the pairs of
-# terms of a product.  The tests' and benchmark workloads' powers predict at
+# Fixed size limits: the bits of a coefficient's numerator or denominator
+# (dsl._fold's literal powers, powers, products and sums) and the pairs of
+# terms of a product or of a power's squaring, checked before the work is
+# created, and the terms of a power (predicted) or of a product (counted as
+# they are made).  The tests' and benchmark workloads' powers predict at
 # most 12,341 terms and 80 bits; a power of 1 + z1 + z2 with 99,681 terms
 # takes 0.56 s and 46 MB.  Their largest product sums take 246,016 pairs of
 # terms (tests) and 52,920 (ring); the dense square of a 3,162-term
@@ -312,8 +318,10 @@ def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "E
     largest = sum([den // d * size for d, size in zip(dens, sizes)])
     if (largest - 1).bit_length() > _MAX_COEFF_BITS:  # as _check_power counts
         raise InputError(f"product too large: a coefficient would pass {_MAX_COEFF_BITS} bits")
-    if count >= _PACKED_MIN_PAIRS or term_pairs > _MAX_TERMS:
-        return _reduced(_packed_sum(reduced, den, largest, term_pairs), den, bound)
+    if term_pairs > _MAX_PAIRS:
+        raise InputError(f"product too large: it would take more than {_MAX_PAIRS} pairs of terms")
+    if count >= _PACKED_MIN_PAIRS:
+        return _reduced(_packed_sum(reduced, den, largest), den, bound)
     acc: dict[Monomial, int] = {}
     for left, right, d, negate in reduced:
         scale = -(den // d) if negate else den // d
@@ -322,13 +330,20 @@ def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "E
             for mono_b, num_b in right.items():
                 mono = _merge_monomials(mono_a, mono_b)
                 acc[mono] = acc.get(mono, 0) + num_a * num_b
+            if len(acc) > _MAX_TERMS:
+                raise _past_terms()
     if 0 in acc.values():
         acc = {m: c for m, c in acc.items() if c}
     return _reduced(acc, den, bound)
 
 
+def _past_terms() -> InputError:
+    # The refusal of a sum of products whose monomials pass _MAX_TERMS.
+    return InputError(f"product too large: it would have more than {_MAX_TERMS} terms")
+
+
 def _packed_sum(
-    reduced: Sequence[tuple[dict, dict, int, bool]], den: int, largest: int, term_pairs: int
+    reduced: Sequence[tuple[dict, dict, int, bool]], den: int, largest: int
 ) -> dict[Monomial, int]:
     # The nonzero numerators over den of the sum that _product_sum reduced
     # to (left, right, denominator, negate) entries, on packed exponent keys.
@@ -349,14 +364,7 @@ def _packed_sum(
                 seen = exponents[name] = ([0], [0])
             seen[side].append(exponent)
     tops = {name: max(xs) + max(ys) for name, (xs, ys) in exponents.items()}
-    if term_pairs > _MAX_PAIRS:
-        raise InputError(f"product too large: it would take more than {_MAX_PAIRS} pairs of terms")
-    # At most min(term pairs, the product of each variable's top exponent + 1) terms.
-    size = 1
-    for t in tops.values():
-        size = min(size * (t + 1), term_pairs)
-    if size > _MAX_TERMS:
-        raise InputError(f"product too large: it would have more than {_MAX_TERMS} terms")
+    term_pairs = sum([len(left) * len(right) for left, right, _, _ in reduced])
     top, slot = max([(t, name) for name, t in tops.items() if t <= _SLOT_MAX_EXPONENT],
                     default=(0, None)) if term_pairs >= _SLOT_MIN_PAIRS else (0, None)
     shifts: dict[str, int] = {}
@@ -406,6 +414,8 @@ def _packed_sum(
             for key_b, num_b in right:
                 key = key_a + key_b
                 acc[key] = get(key, 0) + num_a * num_b
+            if len(acc) > _MAX_TERMS:
+                raise _past_terms()
     # Keys decode through a table per field of the (name, exponent) pairs
     # that the factors' exponent sums make, so the monomials share their
     # pairs, unless the tables would hold more pairs than the sum has terms
@@ -445,6 +455,8 @@ def _packed_sum(
             digit = num >> shift & mask
             if digit != half:
                 out[head + pair + tail] = digit - half
+        if len(out) > _MAX_TERMS:
+            raise _past_terms()
     return out
 
 
@@ -515,6 +527,14 @@ def _check_power(coeffs: Mapping[Monomial, int], den: int, n: int) -> None:
     bits = max((c - 1).bit_length() + (k - 1).bit_length(), (den - 1).bit_length())
     if n * bits > _MAX_COEFF_BITS:
         raise InputError(f"power too large: a coefficient would pass {_MAX_COEFF_BITS} bits")
+
+
+def _power_product(a: "Expression", b: "Expression") -> "Expression":
+    # One product of Expression.__pow__'s squarings, refused as the power's
+    # own where it would take more than _MAX_PAIRS pairs of terms.
+    if len(a._coeffs) * len(b._coeffs) > _MAX_PAIRS:
+        raise InputError(f"power too large: it would take more than {_MAX_PAIRS} pairs of terms")
+    return a * b
 
 
 def _add_into(acc: dict, entries: Mapping, negate=False) -> dict:
@@ -736,10 +756,10 @@ class Expression:
         base = self
         while exponent:
             if exponent & 1:
-                result = base if result is None else result * base
+                result = base if result is None else _power_product(result, base)
             exponent >>= 1
             if exponent:
-                base = base * base
+                base = _power_product(base, base)
         return Expression.one() if result is None else result
 
     # -- calculus and substitution -----------------------------------------

@@ -398,6 +398,20 @@ def test_products_past_the_size_limits_exit_2(tmp_path, capsys):
         assert errtext.startswith(expected.format(doc))
 
 
+def test_a_product_dense_in_total_degree_is_checked(tmp_path, capsys):
+    # p ^ dp of a 1,820-term form takes 2.48 million pairs of terms, inside
+    # the pair limit, and makes at most comb(23 + 4, 4) = 17,550 terms, far
+    # fewer than the 24^4 box of its top exponents.
+    doc = tmp_path / "dense.fol"
+    doc.write_text(
+        "manifold { dim 4 leaf 2 coords z1 z2 z3 z4 }\n"
+        "form p {\n  p = (1+z1+z2+z3+z4)^12\n}\n"
+    )
+    code, out, errtext = run(capsys, "check", doc)
+    assert (code, errtext) == (0, "")
+    assert "[pass] leibniz.p.p" in out
+
+
 def test_unprintable_coefficient_exits_2(tmp_path, capsys):
     # 10^5000 is computed, not written as a literal, so it parses; printing
     # it would pass the interpreter's int/str digit limit.

@@ -1311,9 +1311,9 @@ def test_products_at_the_size_limits_still_build(monkeypatch):
     assert len((x16 * x16).terms) == 31
     with pytest.raises(fc.InputError, match="^product too large: it would take more than 256 pairs of terms$"):
         x16 * x17
-    # Terms: at most min(pairs of terms, the product of each variable's top
-    # exponent + 1).  The square of x16 has top exponent 30, so 31 terms; 12
-    # names times 12 others make 144 pairs and 144 terms.
+    # Terms, counted as they are made: the square of x16 has 31 terms,
+    # decoded from one slice; 12 names times 12 others make 144 terms on the
+    # packed loop, and z1 times those 144 on the direct one.
     monkeypatch.setattr(expr_module, "_MAX_TERMS", 31)
     assert len((x16 * x16).terms) == 31
     monkeypatch.setattr(expr_module, "_MAX_TERMS", 30)
@@ -1326,10 +1326,54 @@ def test_products_at_the_size_limits_still_build(monkeypatch):
     monkeypatch.setattr(expr_module, "_MAX_TERMS", 143)
     with pytest.raises(fc.InputError, match="more than 143 terms"):
         xs * ys
-    # A one-term factor makes no pair the packed kernel counts, but a sum of
-    # more pairs of terms than the term limit is checked there all the same.
     with pytest.raises(fc.InputError, match="more than 143 terms"):
         z1 * grid
+
+
+def test_products_with_far_fewer_terms_than_pairs_still_build():
+    # Bounds from the factors alone refused these: x6 * x6 takes 213,444
+    # pairs of terms to its 6,188 terms (a 13^5 box), x12 * x11 2,484,300 to
+    # 17,550 (a 24^4 box), and the homogeneous t32 * t32 314,721 to 2,145
+    # (a 65^3 box, and 366,145 monomials of degree at most 128).
+    start = time.perf_counter()
+    for names, low, high in (("z1 z2 z3 x1 x2", 6, 6), ("z1 z2 z3 x1", 12, 11)):
+        base = 1 + Expression.sum([Expression.variable(name) for name in names.split()])
+        product = base**low * base**high
+        assert product == base ** (low + high)
+        assert len(product.terms) == math.comb(low + high + len(names.split()), len(names.split()))
+    t32 = (z1 * z2 + z2 * z3 + z1 * z3) ** 32
+    assert len(t32.terms) == 561
+    assert len((t32 * t32).terms) == 2145
+    assert time.perf_counter() - start < 2
+
+
+def test_a_power_is_refused_by_its_own_checks():
+    # (z1 + z2 + z3 + z1*z2)^80 predicts 91,881 terms, but squaring its
+    # 6,545-term 32nd power would take 42.8 million pairs of terms.
+    base = z1 + z2 + z3 + z1 * z2
+    assert len((base**40).terms) == math.comb(43, 3)
+    start = time.perf_counter()
+    with pytest.raises(fc.InputError, match="^power too large: it would take more than 10000000 pairs of terms$"):
+        base**80
+    assert time.perf_counter() - start < 1
+
+
+def test_a_power_the_power_check_admits_is_not_refused_by_a_product(monkeypatch):
+    # The 6th power of five terms predicts comb(6 + 4, 4) = 210 terms and
+    # has 140; its largest product, of the 2nd and 4th powers, takes 14 x 55
+    # pairs of terms in six variables of total degree 12.  At a term limit
+    # of 210 neither the power nor that product is refused.
+    v = [Expression.variable(f"v{i}") for i in range(6)]
+    base = v[0] * v[1] + v[2] * v[3] + v[4] * v[5] + v[0] * v[2] + v[1] * v[3]
+    expected = base * base * base * base * base * base
+    monkeypatch.setattr(expr_module, "_MAX_TERMS", 210)
+    assert base**6 == expected
+    assert base**2 * base**4 == expected
+    monkeypatch.setattr(expr_module, "_MAX_PAIRS", 770)
+    assert base**6 == expected
+    monkeypatch.setattr(expr_module, "_MAX_PAIRS", 769)
+    with pytest.raises(fc.InputError, match="^power too large: it would take more than 769 pairs of terms$"):
+        base**6
 
 
 @kernel_paths
