@@ -6,7 +6,10 @@ document order.  Input problems (unknown names, kind mismatches) raise
 InputError; a returned Report with a failing check means a mathematical
 check did not hold.  `verify` builds every named splitting's extension
 from one leafwise difference and reads the round trip and the dependence
-from those extensions.
+from those extensions.  `check` builds each Leibniz right-hand side,
+d~a ^ b + (-1)^p a ^ d~b, as one `forms._wedge_sum`, so where a form is
+paired with itself the mirrored products meet in one sum of products: they
+cancel or double there instead of being formed twice.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import InputError
 from .extension import Splitting, _dependence, _extensions, extend_connection
 from .expr import _product_sum
 from .forms import (
+    _wedge_sum,
     exterior_differential,
     leafwise_differential,
     restrict_form,
@@ -132,10 +136,8 @@ def _run_check(document: Document, names) -> list[CheckResult]:
         for i, (left, d_left) in enumerate(zip(objects, ds)):
             for right, d_right in zip(objects[i:], ds[i:]):
                 a, b = left.value, right.value
-                signed = wedge(a, d_right)
-                if a.degree % 2:
-                    signed = -signed
-                residual = differential(wedge(a, b)) - (wedge(d_left, b) + signed)
+                rhs = _wedge_sum(((d_left, b, False), (a, d_right, a.degree % 2 == 1)))
+                residual = differential(wedge(a, b)) - rhs
                 results.append(_identity(f"leibniz.{left.name}.{right.name}", residual))
     for obj in document.of_kind("transition"):
         transition: DeclaredTransition = obj.value

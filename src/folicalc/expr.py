@@ -102,6 +102,21 @@ makes.  Only collisions repay packing, and a one-term factor makes none, so
 its pairs are not counted.  Below 128 every column loses; from 128 all but
 sparse factors gain, so _PACKED_MIN_PAIRS = 128.
 
+Within one sum the kernel multiplies each unordered pair of factor objects
+once.  The pairs (a, b) and (b, a), and repeats of either, merge into one at
+the sum w of their signs before any gcd, bound or multiply: where w is 0
+the pair is dropped, its denominator never entering the sum's, and where
+|w| > 1 it is multiplied into the left factor's numerators.  A pair of one
+object is a square, formed from each unordered pair of its terms once with
+the cross terms doubled, on either path and between slices alike (Monagan
+and Pearce, "Sparse polynomial powering using heaps", CASC 2012).  A merged
+pair counts once toward the limits below, at its merged size, and a square
+of a k-term factor counts k * k pairs of terms, as before, so the limits
+refuse what they refused before; a sum whose pairs all cancel does no work
+and is refused by nothing.  So the Leibniz check's sums are half formed
+where a form meets itself (see commands), and a power's squarings do about
+half their multiplies.
+
 Powers square repeatedly through that kernel, except where every
 nonconstant term of the base is a power of a variable no other term holds:
 a linear form, (1 + z1)^n, z1^2 - 3*z2.  There the multinomial theorem
@@ -110,22 +125,26 @@ per term, and distinct compositions give distinct monomials, so no pair of
 terms is formed and nothing cancels (Fateman, "On the computation of powers
 of sparse polynomials", Studies in Applied Mathematics 53, 1974).  The
 result over den^n is canonical by Gauss's lemma: the content of P^n is the
-content of P to the n, which shares no prime with den.  Either way a power
-first predicts its size, and one past _MAX_TERMS terms or _MAX_COEFF_BITS
-bits is an InputError before anything is built (see _check_power), and a
-squaring of more than _MAX_PAIRS pairs of terms is one before it is
-multiplied.  Sums and products are bounded before their work too:
-_common_denominator refuses an lcm past _MAX_COEFF_BITS bits, and
-_product_sum a sum whose numerators could pass it (no numerator passes
-sum |scale| * sum |left| * sum |right|) or that takes more than _MAX_PAIRS
-pairs of terms.  Its terms are counted as they are made: either kernel
-refuses a sum once the monomials it has reached pass _MAX_TERMS, checked
-after each left term and, where slots run, after each slice is decoded;
-a bound from the factors' exponents alone refuses sums whose pairs mostly
-collide, like the squarings of (z1*z2 + z2*z3 + z1*z3)^64.  Monomials that
-cancel count until the end, so the products of a power to the n never
-pass the bound _check_power admitted: each monomial they reach is a
-product of at most n terms of the base, and that bound grows with n.
+content of P to the n, which shares no prime with den.  A base whose terms
+all hold a monomial m, P = m * Q, is raised as m^n * Q^n, each monomial of
+Q^n shifted by m^n: distinct monomials stay distinct and the numerators and
+denominator are Q^n's, so the result is canonical as it is, and
+(z1 - z2*z1)^n is separated.  Either way a power first predicts its size,
+and one past _MAX_TERMS terms or _MAX_COEFF_BITS bits is an InputError
+before anything is built (see _check_power), and a squaring of more than
+_MAX_PAIRS pairs of terms is one before it is multiplied.  Sums and
+products are bounded before their work too: _common_denominator refuses an
+lcm past _MAX_COEFF_BITS bits, and _product_sum a sum whose numerators
+could pass it (no numerator passes sum |scale| * sum |left| * sum |right|)
+or that takes more than _MAX_PAIRS pairs of terms.  Its terms are counted
+as they are made: either kernel refuses a sum once the monomials it has
+reached pass _MAX_TERMS, checked after each left term and, where slots run,
+after each slice is decoded; a bound from the factors' exponents alone
+refuses sums whose pairs mostly collide, like the squarings of
+(z1*z2 + z2*z3 + z1*z3)^64.  Monomials that cancel count until the end, so
+the products of a power to the n never pass the bound _check_power
+admitted: each monomial they reach is a product of at most n terms of the
+base, and that bound grows with n.
 """
 
 from __future__ import annotations
@@ -285,11 +304,15 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "Expression":
+def _product_sum(pairs: Sequence[tuple["Expression", "Expression", bool]]) -> "Expression":
     # The sum of a * b over (a, b, negate) pairs, each negated where its flag
-    # is set, in one accumulator (see the module docstring).  Each pair's
-    # factors are divided by Gauss's gcds, and its products scaled to the
-    # lcm of the reduced denominators as its left numerators are read.
+    # is set, in one accumulator (see the module docstring).  Each unordered
+    # pair of factor objects is multiplied once (see _merged), and a pair of
+    # one object is a square.  Each pair's factors are divided by Gauss's
+    # gcds, and its products scaled to the lcm of the reduced denominators as
+    # its left numerators are read.
+    if len(pairs) > 1:
+        pairs = _merged(pairs)
     reduced = []
     dens = []
     sizes = []
@@ -299,12 +322,15 @@ def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "E
         if not left or not right:
             continue
         den_a, den_b = a._den, b._den
-        if den_b != 1 and (g := math.gcd(den_b, *left.values())) != 1:
-            left = {m: c // g for m, c in left.items()}
-            den_b //= g
-        if den_a != 1 and (g := math.gcd(den_a, *right.values())) != 1:
-            right = {m: c // g for m, c in right.items()}
-            den_a //= g
+        # A canonical factor shares no prime of its denominator with all its
+        # own numerators, so a square is reduced by nothing.
+        if a is not b:
+            if den_b != 1 and (g := math.gcd(den_b, *left.values())) != 1:
+                left = {m: c // g for m, c in left.items()}
+                den_b //= g
+            if den_a != 1 and (g := math.gcd(den_a, *right.values())) != 1:
+                right = {m: c // g for m, c in right.items()}
+                den_a //= g
         dens.append(den_a * den_b)
         reduced.append((left, right, dens[-1], negate))
         sizes.append(sum(map(abs, left.values())) * sum(map(abs, right.values())))
@@ -325,9 +351,19 @@ def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "E
     acc: dict[Monomial, int] = {}
     for left, right, d, negate in reduced:
         scale = -(den // d) if negate else den // d
+        if left is right:
+            for mono_a, num_a, row in _square_rows(left):
+                num_a *= scale
+                for mono_b, num_b in row:
+                    mono = _merge_monomials(mono_a, mono_b)
+                    acc[mono] = acc.get(mono, 0) + num_a * num_b
+                if len(acc) > _MAX_TERMS:
+                    raise _past_terms()
+            continue
+        right = right.items()
         for mono_a, num_a in left.items():
             num_a *= scale
-            for mono_b, num_b in right.items():
+            for mono_b, num_b in right:
                 mono = _merge_monomials(mono_a, mono_b)
                 acc[mono] = acc.get(mono, 0) + num_a * num_b
             if len(acc) > _MAX_TERMS:
@@ -335,6 +371,42 @@ def _product_sum(pairs: Iterable[tuple["Expression", "Expression", bool]]) -> "E
     if 0 in acc.values():
         acc = {m: c for m, c in acc.items() if c}
     return _reduced(acc, den, bound)
+
+
+def _merged(pairs: Sequence[tuple["Expression", "Expression", bool]]) -> Sequence[tuple]:
+    # The pairs with each unordered pair of factor objects once, at the sum
+    # w of its signs: left out where w is 0, and with |w| multiplied into its
+    # left factor where |w| > 1, so Gauss's lemma still reduces it.  Equal
+    # pairs have equal sums of ids, so a sum whose id sums are distinct is
+    # returned as it is.  The sequence holds every factor for the whole
+    # call, so no id is reused by another object.
+    if len({id(a) + id(b) for a, b, _ in pairs}) == len(pairs):
+        return pairs
+    weights: dict[tuple[int, int], list] = {}
+    for a, b, negate in pairs:
+        key = (id(a), id(b)) if id(a) <= id(b) else (id(b), id(a))
+        entry = weights.get(key)
+        if entry is None:
+            weights[key] = [a, b, -1 if negate else 1]
+        else:
+            entry[2] += -1 if negate else 1
+    merged = []
+    for a, b, weight in weights.values():
+        if abs(weight) > 1:
+            scaled = {m: c * abs(weight) for m, c in a._coeffs.items()}
+            a = _reduced(scaled, a._den, a._den)
+        if weight:
+            merged.append((a, b, weight < 0))
+    return merged
+
+
+def _square_rows(terms: dict) -> Iterator[tuple]:
+    # (key, numerator, terms it multiplies) for each term of a square's
+    # factor: itself, and doubled, every term after it, so each unordered
+    # pair of terms is multiplied once.
+    items = list(terms.items())
+    doubled = [(key, c + c) for key, c in items]
+    return ((key, c, items[i:i + 1] + doubled[i + 1:]) for i, (key, c) in enumerate(items))
 
 
 def _past_terms() -> InputError:
@@ -373,9 +445,13 @@ def _packed_sum(
         shifts[name] = shift
         shift += tops[name].bit_length()
     packed = {pair: pair[1] << shifts[pair[0]] for pair in pairs_a | pairs_b}.__getitem__
-    sides = [{sum(map(packed, mono)): c for mono, c in coeffs.items()}
-             for entry in reduced for coeffs in entry[:2]]
-    scales = [-(den // d) if negate else den // d for _, _, d, negate in reduced]
+    # Each factor's map is packed, and sliced, once however many pairs hold
+    # it, so a square's two sides stay one object.
+    order = [id(coeffs) for entry in reduced for coeffs in entry[:2]]
+    maps = {id(coeffs): coeffs for entry in reduced for coeffs in entry[:2]}
+    maps = {i: {sum(map(packed, mono)): c for mono, c in coeffs.items()}
+            for i, coeffs in maps.items()}
+    sides = [maps[i] for i in order]
     if slot is not None:
         # No slot of the sum passes largest in size, which is below half a
         # slot, so every slot decodes exactly: it is a digit in base
@@ -396,18 +472,27 @@ def _packed_sum(
             mask, half = (1 << width) - 1, 1 << (width - 1)
             slots = [(e * width, ((slot, e),) if e else ()) for e in range(top + 1)]
             offset = sum([half << shift for shift, _ in slots])
-            sliced = []
-            for side in sides:
+            for i, side in maps.items():
                 slices: dict[int, int] = {}
                 for key, c in side.items():
                     slices[key & low] = slices.get(key & low, 0) + (c << width * (key >> high))
-                sliced.append(slices)
-            sides = sliced
+                maps[i] = slices
+            sides = [maps[i] for i in order]
         else:
             slot = None
     acc: dict[int, int] = {}
     get = acc.get
-    for scale, left, right in zip(scales, sides[::2], sides[1::2]):
+    for (_, _, d, negate), left, right in zip(reduced, sides[::2], sides[1::2]):
+        scale = -(den // d) if negate else den // d
+        if left is right:
+            for key_a, num_a, row in _square_rows(left):
+                num_a *= scale
+                for key_b, num_b in row:
+                    key = key_a + key_b
+                    acc[key] = get(key, 0) + num_a * num_b
+                if len(acc) > _MAX_TERMS:
+                    raise _past_terms()
+            continue
         right = right.items()
         for key_a, num_a in left.items():
             num_a *= scale
@@ -535,6 +620,34 @@ def _power_product(a: "Expression", b: "Expression") -> "Expression":
     if len(a._coeffs) * len(b._coeffs) > _MAX_PAIRS:
         raise InputError(f"power too large: it would take more than {_MAX_PAIRS} pairs of terms")
     return a * b
+
+
+def _shared_monomial(coeffs: Mapping[Monomial, int]) -> Monomial:
+    # The monomial every term holds, each variable at its least exponent
+    # over the terms; () where no variable is in every term.
+    monos = iter(coeffs)
+    shared = dict(next(monos))
+    for mono in monos:
+        if not shared:
+            break
+        held = dict(mono)
+        shared = {name: min(e, held[name]) for name, e in shared.items() if name in held}
+    return tuple(shared.items())
+
+
+def _divided(mono: Monomial, shared: Monomial) -> Monomial:
+    # mono / shared, for a shared monomial that divides mono.
+    lower = dict(shared)
+    return tuple([(name, e - lower.get(name, 0)) for name, e in mono if e != lower.get(name)])
+
+
+def _shifted(value: "Expression", shift: Monomial) -> "Expression":
+    # value * shift, for a monomial shift: distinct monomials stay distinct
+    # and the numerators are unchanged, so the result is canonical as it is.
+    if not shift:
+        return value
+    coeffs = {_merge_monomials(mono, shift): c for mono, c in value._coeffs.items()}
+    return Expression._build(coeffs, value._den)
 
 
 def _add_into(acc: dict, entries: Mapping, negate=False) -> dict:
@@ -748,19 +861,26 @@ class Expression:
             raise InputError("exponent must be a non-negative integer")
         if exponent > 1 and self._coeffs:
             _check_power(self._coeffs, self._den, exponent)
+        base, shift = self, ()
         if exponent > 1 and len(self._coeffs) > 1:
-            numerators = _separated_power(self._coeffs, exponent)
+            # P = m * Q for the monomial m every term holds, and P^n = m^n * Q^n.
+            shared = _shared_monomial(self._coeffs)
+            if shared:
+                base = Expression._build(
+                    {_divided(mono, shared): c for mono, c in self._coeffs.items()}, self._den
+                )
+                shift = tuple([(name, e * exponent) for name, e in shared])
+            numerators = _separated_power(base._coeffs, exponent)
             if numerators is not None:
-                return Expression._build(numerators, self._den**exponent)
+                return _shifted(Expression._build(numerators, self._den**exponent), shift)
         result = None
-        base = self
         while exponent:
             if exponent & 1:
                 result = base if result is None else _power_product(result, base)
             exponent >>= 1
             if exponent:
                 base = _power_product(base, base)
-        return Expression.one() if result is None else result
+        return Expression.one() if result is None else _shifted(result, shift)
 
     # -- calculus and substitution -----------------------------------------
 

@@ -220,13 +220,26 @@ def wedge(a: _Form, b: _Form) -> _Form:
     two index blocks contributes the sign of the sorting permutation."""
     _require("wedge", (a, Form), (b, type(a)))
     _require_chart(a, b, "wedge forms")
+    return _wedge_sum(((a, b, False),))
+
+
+def _wedge_sum(terms) -> _Form:
+    """The sum of a ^ b over (a, b, negate) terms, each negated where its
+    flag is set; the terms are forms of one kind and chart whose degrees add
+    to one degree, and there is at least one.  Each component is one sum of
+    products, so products that two terms share meet in one kernel call: the
+    ring multiplies each unordered pair of factors once, and a pair whose
+    signs cancel, like the mirrored products of a 1-form wedged with
+    itself, is never formed."""
     pairs: dict[tuple[int, ...], list] = {}
-    for left, f in a.components.items():
-        for right, g in b.components.items():
-            merged, sign = merge_indices(left, right)
-            if merged is not None:
-                pairs.setdefault(merged, []).append((f, g, sign < 0))
+    for a, b, negate in terms:
+        for left, f in a.components.items():
+            for right, g in b.components.items():
+                merged, sign = merge_indices(left, right)
+                if merged is not None:
+                    pairs.setdefault(merged, []).append((f, g, negate != (sign < 0)))
     out = {merged: total for merged, signed in pairs.items() if (total := _product_sum(signed))}
+    a, b, _ = terms[0]
     return a._build(a.chart, a.degree + b.degree, out)
 
 

@@ -826,6 +826,77 @@ def test_product_sums_match_summed_products(threshold, pairs, repeat):
         assert total.is_zero()
 
 
+@st.composite
+def reused_pairs(draw):
+    # Pairs drawn from a pool of factor objects, so squares, mirrored pairs
+    # with equal and with opposite flags, and repeated pairs all occur.
+    pool = st.sampled_from(draw(st.lists(small_factors, min_size=1, max_size=4)))
+    return draw(st.lists(st.tuples(pool, pool, st.booleans()), max_size=6))
+
+
+_third = fc.parse_expression("1/3*z1 + z2")
+_plus_one = z3 + 1
+
+
+@kernel_paths
+@settings(deadline=None, max_examples=100)
+@given(reused_pairs())
+# A mirrored pair that cancels, over a denominator coprime to the survivor's.
+@example(pairs=[(_third, _plus_one, False),
+                (fc.parse_expression("1/5*z4 + 1"), fc.parse_expression("z5 + z1"), False),
+                (_plus_one, _third, True)])
+# A square, and a mirrored pair that adds to twice one product over an even
+# denominator.
+@example(pairs=[(_third, _third, False), (Fraction(1, 2) * z1, z2, False), (z2, Fraction(1, 2) * z1, False)])
+def test_product_sums_of_reused_factors_match_summed_products(threshold, pairs):
+    # Each unordered pair of factor objects is multiplied once; the sum still
+    # equals every product formed on its own, and is canonical.
+    total = _product_sum_at(threshold, pairs)
+    plus = [a * b for a, b, negate in pairs if not negate]
+    minus = [a * b for a, b, negate in pairs if negate]
+    assert total == Expression.sum(plus, minus)
+    assert math.gcd(total._den, *total._coeffs.values()) == 1
+    _assert_layout(total, oracles.dict_sum(
+        [oracles.dict_product(dict(a.terms), dict(b.terms)) for a, b, negate in pairs if not negate],
+        [oracles.dict_product(dict(a.terms), dict(b.terms)) for a, b, negate in pairs if negate],
+    ))
+
+
+def test_mirrored_pairs_merge_before_any_work(monkeypatch):
+    # a*b - b*a forms no product: at a limit of one pair of terms it is not
+    # refused, and its denominator does not enter the sum's.  a*b + b*a is
+    # one product, counted once; a square counts every pair of its terms.
+    a, b = fc.parse_expression("1/3*z1 + z2"), (1 + z3) ** 3
+    monkeypatch.setattr(expr_module, "_MAX_PAIRS", 8)
+    assert expr_module._product_sum([(a, b, False), (b, a, True)]).is_zero()
+    assert expr_module._product_sum([(a, b, False), (b, a, True), (z1, z2, False)]) == z1 * z2
+    assert expr_module._product_sum([(a, b, False), (b, a, False)]) == 2 * (a * b)
+    with pytest.raises(fc.InputError, match="more than 8 pairs of terms"):
+        expr_module._product_sum([(a, b, False), (b, a, False), (z1, z2, False)])
+    with pytest.raises(fc.InputError, match="more than 8 pairs of terms"):
+        b * b
+
+
+def test_squares_match_products_of_equal_copies():
+    # A square (one object on both sides) against the same product of two
+    # distinct but equal objects, on the direct loop, the packed loop and
+    # slices, with the term count at its exact limit.
+    for base in (fc.parse_expression("1 - 2/3*z1 + z2^2"),
+                 fc.parse_expression("(1 + z1 + 2*z2 - 1/3*z3)^3"),
+                 Expression.sum([z1**i * (i - 7) for i in range(33)])):
+        copy = base + 0
+        assert copy is not base
+        square = base * base
+        assert square == base * copy
+        _assert_canonical(square)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(expr_module, "_MAX_TERMS", len(square._coeffs))
+            assert base * base == square
+            patch.setattr(expr_module, "_MAX_TERMS", len(square._coeffs) - 1)
+            with pytest.raises(fc.InputError, match="more than"):
+                base * base
+
+
 # -- products: one variable's exponents in the numerators --------------------------
 
 # Both layouts of a packed sum: slices wherever a slot variable exists, and
@@ -1170,8 +1241,13 @@ def test_separated_powers_build_no_products(monkeypatch):
     assert Expression.constant(Fraction(3, 2)) in (left, right)
     assert len(scaled.terms) == math.comb(15, 4)
     seen.clear()
-    fc.parse_expression("(z1 + z1^2)^11")
+    fc.parse_expression("(1 + z1 + z1^2)^11")
     assert len(seen) > 1
+    # z1 + z1^2 = z1 * (1 + z1): the shared monomial is divided out first.
+    expected = z1**11 * (1 + z1) ** 11
+    seen.clear()
+    assert fc.parse_expression("(z1 + z1^2)^11") == expected
+    assert len(seen) == 1
 
 
 def test_separated_powers_match_sympy_expand(sympy):
@@ -1358,6 +1434,34 @@ def test_a_power_is_refused_by_its_own_checks():
     assert time.perf_counter() - start < 1
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.builds(Expression, st.dictionaries(layout_monomials, layout_scalars, min_size=2, max_size=4)),
+    layout_monomials,
+    st.integers(0, 7),
+)
+def test_powers_of_a_base_with_a_shared_monomial_match_repeated_products(rest, shared, n):
+    # P = m * Q is raised as m^n * Q^n; the result is P * ... * P.
+    base = rest * Expression({shared: 1})
+    expected = Expression.one()
+    for _ in range(n):
+        expected = expected * base
+    power = base**n
+    assert power == expected
+    _assert_canonical(power)
+
+
+def test_a_power_of_a_base_with_a_shared_monomial_is_fast():
+    # (z1 - z2*z1)^6300 = z1^6300 * (1 - z2)^6300: 6,301 terms of up to
+    # 6,294 bits, by the multinomial theorem instead of squarings.
+    start = time.perf_counter()
+    power = fc.parse_expression("(z1 - z2*z1)^6300")
+    assert time.perf_counter() - start < 1
+    assert len(power.terms) == 6301
+    assert power.terms[-1] == ((("z1", 6300),), 1)
+    assert dict(power.terms)[(("z1", 6300), ("z2", 3150))] == math.comb(6300, 3150)
+
+
 def test_a_power_the_power_check_admits_is_not_refused_by_a_product(monkeypatch):
     # The 6th power of five terms predicts comb(6 + 4, 4) = 210 terms and
     # has 140; its largest product, of the 2nd and 4th powers, takes 14 x 55
@@ -1379,7 +1483,7 @@ def test_a_power_the_power_check_admits_is_not_refused_by_a_product(monkeypatch)
 @kernel_paths
 @settings(deadline=None, max_examples=100)
 @given(
-    st.lists(st.tuples(small_factors, small_factors, st.booleans()), max_size=4),
+    st.lists(st.tuples(small_factors, small_factors, st.booleans()), max_size=4) | reused_pairs(),
     st.integers(1, 60),
     st.integers(0, 160),
     st.integers(1, 100),
