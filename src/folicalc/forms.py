@@ -239,8 +239,8 @@ def _wedge_sum(terms) -> _Form:
                 if merged is not None:
                     pairs.setdefault(merged, []).append((f, g, negate != (sign < 0)))
     out = {merged: total for merged, signed in pairs.items() if (total := _product_sum(signed))}
-    a, b, _ = terms[0]
-    return a._build(a.chart, a.degree + b.degree, out)
+    first, second, _ = terms[0]
+    return first._build(first.chart, first.degree + second.degree, out)
 
 
 def _coboundary(form: _Form, index_range: int):
