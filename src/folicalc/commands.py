@@ -4,9 +4,9 @@ Each verb resolves named objects from a parsed document, runs the matching
 library operations, and returns a Report whose entries are deterministic in
 document order.  Input problems (unknown names, kind mismatches) raise
 InputError; a returned Report with a failing check means a mathematical
-check did not hold.  `verify` builds every named splitting's extension
-from one leafwise difference and reads the round trip and the dependence
-from those extensions.  `check` builds each Leibniz right-hand side,
+check did not hold.  `verify` builds the first splitting's extension and,
+with two splittings, Delta = s1(Q) - s2(Q) from one leafwise difference Q.
+`check` builds each Leibniz right-hand side,
 d~a ^ b + (-1)^p a ^ d~b, as one `forms._wedge_sum`, so where a form is
 paired with itself the mirrored products meet in one sum of products: they
 cancel or double there instead of being formed twice.
@@ -26,7 +26,7 @@ from .charts import (
 from .connections import Connection, LeafwiseConnection, restrict_connection
 from .dsl import DeclaredTransition, Document
 from .errors import InputError
-from .extension import Splitting, _dependence, _extensions, extend_connection
+from .extension import Splitting, _dependence, _difference, _extension, extend_connection
 from .expr import _product_sum
 from .forms import (
     _wedge_sum,
@@ -237,12 +237,13 @@ def _run_verify(document: Document, names) -> list[CheckResult]:
     leafwise, reference, splittings = _pick_extension_inputs(
         document, names, "verify", max_splittings=2
     )
-    # Each splitting's extension, built once; with two, Delta is their difference.
-    first, *other = _extensions(leafwise, reference, *splittings)
+    # The first extension and, with two splittings, Delta, from one Q.
+    gamma, difference = _difference(leafwise, reference, *splittings)
+    first = _extension(gamma, difference, splittings[0])
     round_trip = _status(restrict_connection(first) == leafwise)
     results = [CheckResult("extension.round_trip", round_trip, _payload_lines("Gamma'", first))]
-    if other:
-        delta = _dependence(first, *other)
+    if len(splittings) == 2:
+        delta = _dependence(difference, *splittings)
         leaf_zero = all(coord >= delta.chart.dim_leaf for _, coord in delta.coefficients)
         shape = _status(leaf_zero and _dependence_matches(leafwise, reference, splittings, delta))
         results.append(CheckResult("extension.dependence", shape, _payload_lines("Delta", delta)))

@@ -655,13 +655,11 @@ def _add_into(acc: dict, entries: Mapping, negate=False) -> dict:
     # returns acc.  Values are int numerators here, Expressions in the
     # coefficient tables.
     for key, value in entries.items():
-        if negate:
-            value = -value
         old = acc.get(key)
         if old is None:
-            acc[key] = value
+            acc[key] = -value if negate else value
         else:
-            total = old + value
+            total = old - value if negate else old + value
             if total:
                 acc[key] = total
             else:

@@ -7,9 +7,10 @@ sequence (turning it into a soldering form over the whole base), and add the
 result to the reference.  The leaf-indexed coefficients of the output are
 the given leafwise coefficients verbatim, so restricting the extension
 always recovers the input; verify_extension checks exactly that and exists
-as an executable witness of the statement.  _extensions builds each
-splitting's extension from one leafwise difference for extend_connection,
-extension_dependence and `verify`, and _dependence subtracts two of them.
+as an executable witness of the statement.  Every splitting is the identity
+on leaf slots, so the dependence on the splitting is s1(Q) - s2(Q) for the
+leafwise difference Q: one sum of products per transverse slot, formed by
+the _transverse that apply_splitting shares, with no extension built.
 
 Splittings and soldering forms are coefficient tables of the one type in
 connections.py.  A splitting lives over the adapted base chart, with leaf
@@ -67,18 +68,26 @@ def apply_splitting(
     soldering form sigma = Q on leaf slots, and on transverse ones
     sigma[f][t] = -sum over leaves l of B[l][t] * Q[f][l]."""
     _require("apply_splitting", (split, Splitting), (difference, VerticalValuedLeafwiseForm))
-    chart = difference.chart
-    if split.chart != chart.base:
-        raise ChartMismatchError("splitting chart does not match the bundle base")
-    pairs = {}
-    for (leaf, trans), weight in split.coefficients.items():
-        for fibre in range(chart.fibre_dim):
-            value = difference.coefficients.get((fibre, leaf))
-            if value is not None:
-                pairs.setdefault((fibre, trans), []).append((weight, value, True))
     table = dict(difference.coefficients)
-    table.update({key: total for key, signed in pairs.items() if (total := _product_sum(signed))})
-    return SolderingForm._build(chart, table)
+    table.update(_transverse(difference, (split, True)))
+    return SolderingForm._build(difference.chart, table)
+
+
+def _transverse(difference, *signed) -> dict:
+    # The nonzero transverse slots of the sum of -B.Q over (B, True) and of
+    # +B.Q over (B, False) in signed: one _product_sum per (fibre, t) of the
+    # pairs (B[l][t], Q[f][l]) of every splitting.
+    chart = difference.chart
+    pairs = {}
+    for split, negate in signed:
+        if split.chart != chart.base:
+            raise ChartMismatchError("splitting chart does not match the bundle base")
+        for (leaf, trans), weight in split.coefficients.items():
+            for fibre in range(chart.fibre_dim):
+                value = difference.coefficients.get((fibre, leaf))
+                if value is not None:
+                    pairs.setdefault((fibre, trans), []).append((weight, value, negate))
+    return {key: total for key, terms in pairs.items() if (total := _product_sum(terms))}
 
 
 def extend_connection(
@@ -91,11 +100,11 @@ def extend_connection(
     over the transverse coefficients.  Leaf coefficients of the result equal
     the input's verbatim.
     """
-    return _extensions(a, reference, split)[0]
+    return _extension(*_difference(a, reference, split), split)
 
 
-def _extensions(a, reference, *splits) -> list[Connection]:
-    # reference + s(Q) for each splitting s, from one Q = a - reference|F;
+def _difference(a, reference, *splits) -> tuple[Connection, VerticalValuedLeafwiseForm]:
+    # The reference (the zero connection when omitted) and Q = a - reference|F;
     # every operand type is checked before any chart.
     _require("extend_connection", (a, LeafwiseConnection))
     chart = a.chart
@@ -104,9 +113,13 @@ def _extensions(a, reference, *splits) -> list[Connection]:
     _require("extend_connection", (reference, Connection), *[(s, Splitting) for s in splits])
     if reference.chart != chart:
         raise ChartMismatchError("reference connection lives over a different chart")
-    difference = connection_difference(a, restrict_connection(reference))
-    sigmas = [apply_splitting(split, difference).coefficients for split in splits]
-    return [Connection._build(chart, _add_into(dict(reference.coefficients), s)) for s in sigmas]
+    return reference, connection_difference(a, restrict_connection(reference))
+
+
+def _extension(reference: Connection, difference, split: Splitting) -> Connection:
+    # reference + s(Q).
+    sigma = apply_splitting(split, difference).coefficients
+    return Connection._build(reference.chart, _add_into(dict(reference.coefficients), sigma))
 
 
 def verify_extension(
@@ -125,14 +138,17 @@ def extension_dependence(
     split_one: Splitting,
     split_two: Splitting,
 ) -> SolderingForm:
-    """Difference of the extensions built from two splittings.
+    """Difference of the extensions built from two splittings, formed as
+    Delta = s1(Q) - s2(Q) with Q = a - reference|F and no extension built.
 
     The leaf-indexed entries are always zero; the transverse entries measure
     how the extension depends on the choice of splitting.
     """
-    return _dependence(*_extensions(a, reference, split_one, split_two))
+    difference = _difference(a, reference, split_one, split_two)[1]
+    return _dependence(difference, split_one, split_two)
 
 
-def _dependence(first: Connection, second: Connection) -> SolderingForm:
-    table = _add_into(dict(first.coefficients), second.coefficients, negate=True)
-    return SolderingForm._build(first.chart, table)
+def _dependence(difference, split_one: Splitting, split_two: Splitting) -> SolderingForm:
+    # s1(Q) - s2(Q): -B1.Q + B2.Q on each transverse slot.
+    table = _transverse(difference, (split_one, True), (split_two, False))
+    return SolderingForm._build(difference.chart, table)

@@ -105,6 +105,7 @@ def test_check_fails_on_non_adapted_transition(tmp_path, capsys):
 _real_merge = forms.merge_indices
 _real_wedge_sum = commands._wedge_sum
 _real_apply_splitting = extension.apply_splitting
+_real_transverse = extension._transverse
 
 
 def _unsigned_merge(left, right):
@@ -126,11 +127,8 @@ def _soldering_without_leaf_slots(split, difference):
     return extension.SolderingForm._build(sigma.chart, kept)
 
 
-def _soldering_with_plus_sign(split, difference):
-    sigma = _real_apply_splitting(split, difference)
-    cutoff = sigma.chart.dim_leaf
-    flipped = {key: c if key[1] < cutoff else -c for key, c in sigma.coefficients.items()}
-    return extension.SolderingForm._build(sigma.chart, flipped)
+def _transverse_with_plus_sign(difference, *signed):
+    return {key: -c for key, c in _real_transverse(difference, *signed).items()}
 
 
 # d(z1*z2) = z2 ~dz1 + z1 ~dz2, whose two terms cancel in d^2 by their
@@ -150,7 +148,7 @@ INJECTED_FAULTS = [
      ["check", CALCULUS], "form.psi.foliated_kernel"),
     (extension, "apply_splitting", _soldering_without_leaf_slots,
      ["verify", WORKED, "--name", "A", "--name", "B"], "extension.round_trip"),
-    (extension, "apply_splitting", _soldering_with_plus_sign,
+    (extension, "_transverse", _transverse_with_plus_sign,
      ["verify", WORKED, "--name", "A", "--name", "B", "--name", "B0"], "extension.dependence"),
     (commands, "check_foliated_bundle_transition",
      lambda components, chart: all(c.variables().isdisjoint(chart.base.coords) for c in components),
@@ -214,7 +212,7 @@ BUILD_TABLE = {
     "verify samples/foliated_bundle.fol --name A --name Gamma --name B":
         (1, 7, 1, 0, 0, 0, 0, 2, 1, 1),
     "verify samples/worked_extension.fol --name A --name B --name B0":
-        (1, 3, 0, 0, 0, 0, 0, 2, 1, 2),
+        (1, 3, 0, 0, 0, 0, 0, 2, 1, 1),
     "wedge samples/leafwise_calculus.fol --name alpha --name beta":
         (1, 8, 1, 0, 0, 0, 1, 0, 0, 0),
 }

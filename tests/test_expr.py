@@ -566,12 +566,14 @@ def _tuple_key_order(coeffs):
 
 
 def _print_time(e, order):
+    # CPU time of this process, so that other processes' load on the
+    # machine does not enter the comparison.
     saved = expr_module._ordered
     expr_module._ordered = order
     try:
-        start = time.perf_counter()
+        start = time.process_time()
         text = str(e)
-        return time.perf_counter() - start, text
+        return time.process_time() - start, text
     finally:
         expr_module._ordered = saved
 

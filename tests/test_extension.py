@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,8 @@ from folicalc import (
 
 import oracles
 import randgen
+
+WORKED = Path(__file__).resolve().parent.parent / "samples" / "worked_extension.fol"
 
 BASE = AdaptedChart(("z1", "z2"), ("z3",))
 CHART = BundleChart(BASE, ("u",))
@@ -194,6 +197,49 @@ def test_dependence_shape():
                     weight = first.coefficient(alpha, trans) - second.coefficient(alpha, trans)
                     expected = expected - weight * q.coefficient(i, alpha)
                 assert delta.coefficient(i, trans) == expected
+
+
+def test_dependence_is_the_difference_of_two_extensions():
+    # The route that builds both extensions and subtracts them, entry by
+    # entry, with and without a reference.
+    rng = random.Random(127)
+    for draw in range(120):
+        chart = randgen.bundle_chart(rng)
+        a = randgen.leafwise_connection(rng, chart)
+        gamma = randgen.connection(rng, chart) if draw % 2 else None
+        first = randgen.splitting(rng, chart.base)
+        second = randgen.splitting(rng, chart.base)
+        delta = extension_dependence(a, gamma, first, second)
+        one = extend_connection(a, gamma, first).coefficients
+        two = extend_connection(a, gamma, second).coefficients
+        for key in set(one) | set(two) | set(delta.coefficients):
+            expected = one.get(key, Expression.zero()) - two.get(key, Expression.zero())
+            assert delta.coefficients.get(key, Expression.zero()) == expected
+        assert all(delta.coefficients.values())
+
+
+def test_verify_reports_the_library_dependence():
+    document = fc.parse_document(WORKED.read_text())
+    a, split_one, split_two = (document.lookup(name).value for name in ("A", "B", "B0"))
+    delta = extension_dependence(a, None, split_one, split_two)
+    report = fc.run_command("verify", document, ("A", "B", "B0"))
+    (check,) = [c for c in report.checks if c.name == "extension.dependence"]
+    assert check.ok
+    assert check.payload == "; ".join(delta.assignment_lines("Delta"))
+    assert not delta.is_zero()
+
+
+def test_a_splitting_paired_with_itself_forms_no_product():
+    # B.Q alone would take 12,341^2 pairs of terms, past the limit; paired
+    # with itself each slot's pairs cancel before any is multiplied.
+    base = AdaptedChart(("z1", "z2"), ("z3", "z4"))
+    chart = BundleChart(base, ("u",))
+    power = fc.parse_expression("(1+z1+z2+z3)^40")
+    a = LeafwiseConnection(chart, {("u", "z1"): power, ("u", "z2"): power})
+    split = Splitting(base, {("z1", "z3"): power, ("z2", "z4"): power})
+    with pytest.raises(fc.InputError, match="product too large"):
+        extend_connection(a, None, split)
+    assert extension_dependence(a, None, split, split).is_zero()
 
 
 def test_extension_is_linear_in_the_difference():

@@ -8,6 +8,7 @@ import pytest
 
 import folicalc as fc
 from folicalc import AdaptedChart, BundleChart, Expression
+from folicalc.expr import _add_into
 
 import randgen
 
@@ -205,3 +206,31 @@ def test_variable_errors_name_the_coefficient():
 def test_component_rejects_a_non_increasing_multi_index(index):
     with pytest.raises(fc.InputError, match="strictly increasing"):
         fc.ExteriorForm(CHART, 2).component(index)
+
+
+def test_add_into_subtracts_int_numerators_in_place():
+    acc = {"kept": 5, "cancelled": 3}
+    entries = {"kept": 2, "cancelled": 3, "new": 4}
+    assert _add_into(acc, entries, negate=True) is acc
+    assert acc == {"kept": 3, "new": -4}
+    assert entries == {"kept": 2, "cancelled": 3, "new": 4}
+
+
+def test_add_into_negates_only_the_entries_it_stores(monkeypatch):
+    # A key already held is subtracted from, not added to a negated copy:
+    # Expression.__neg__ runs once, for the one new key.
+    z2, z3 = Expression.variable("z2"), Expression.variable("z3")
+    acc = {"kept": z2 + 1, "cancelled": z1}
+    entries = {"kept": z2, "cancelled": z1, "new": z3}
+    negated = []
+    real_neg = Expression.__neg__
+
+    def counted(value):
+        negated.append(value)
+        return real_neg(value)
+
+    monkeypatch.setattr(Expression, "__neg__", counted)
+    _add_into(acc, entries, negate=True)
+    assert negated == [z3]
+    assert acc == {"kept": Expression.one(), "new": real_neg(z3)}
+    assert entries == {"kept": z2, "cancelled": z1, "new": z3}
