@@ -96,7 +96,8 @@ from .charts import (
 )
 from .connections import BundleSection, Connection, LeafwiseConnection
 from .errors import InputError, ParseError
-from .expr import _MAX_COEFF_BITS, Expression, _entry_sum, is_identifier
+from . import expr as expr_module
+from .expr import Expression, _entry_sum, is_identifier
 from .extension import Splitting
 from .forms import ExteriorForm, LeafwiseForm
 
@@ -187,14 +188,14 @@ def _fold(factors: Iterable[tuple]) -> tuple[tuple, int, int]:
     # numerator, denominator) entry; see the module docstring.  The factors
     # are read one at a time, so a term of any length folds in bounded space.
     # ValueError, before it is computed, for a number factor that would take
-    # the numerator or denominator past expr's _MAX_COEFF_BITS.  With n and b
-    # nonzero, n * b**p has at least n.bit_length() + p * (b.bit_length() - 1)
-    # bits.  The bound is kept in integers, so a power of any size is checked
-    # at once; for b = 0 or +-1 it adds no bits, so those powers never trip
-    # it.  Every number factor is checked, a number group's too, so no
-    # grouping gets round the limit.
+    # the numerator or denominator past expr's _MAX_COEFF_BITS (read at each
+    # call).  With n and b nonzero, n * b**p has at least n.bit_length() +
+    # p * (b.bit_length() - 1) bits.  The bound is kept in integers, so a
+    # power of any size is checked at once; for b = 0 or +-1 it adds no bits,
+    # so those powers never trip it.  Every number factor is checked, a
+    # number group's too, so no grouping gets round the limit.
     numerator = denominator = 1
-    limit = _MAX_COEFF_BITS
+    limit = expr_module._MAX_COEFF_BITS
     exponents: dict[str, int] = {}
     for base, divisor, power, negations in factors:
         if negations & power & 1:

@@ -20,7 +20,9 @@ For products it is Gauss's lemma: for canonical factors a and b the shared
 factor is exactly gcd(den a, numerators of b) * gcd(den b, numerators of a).
 A sum of products takes both: each pair is reduced by the lemma, and the
 pairs are summed over the lcm of the reduced denominators under Henrici's
-bound, so no gcd runs against the product of all the denominators.
+bound, so no gcd runs against the product of all the denominators.  Every
+sum and product ends in one canonical tail, _reduced, which drops zero
+numerators and divides out the factor the bound leaves shared.
 
 Fractions are built only where coefficients are read: `terms`, iteration and
 `evaluate`.  `terms` computes the canonical order, descending graded lex
@@ -106,16 +108,17 @@ Within one sum the kernel multiplies each unordered pair of factor objects
 once.  The pairs (a, b) and (b, a), and repeats of either, merge into one at
 the sum w of their signs before any gcd, bound or multiply: where w is 0
 the pair is dropped, its denominator never entering the sum's, and where
-|w| > 1 it is multiplied into the left factor's numerators.  A pair of one
-object is a square, formed from each unordered pair of its terms once with
-the cross terms doubled, on either path and between slices alike (Monagan
-and Pearce, "Sparse polynomial powering using heaps", CASC 2012).  A merged
-pair counts once toward the limits below, at its merged size, and a square
-of a k-term factor counts k * k pairs of terms, as before, so the limits
-refuse what they refused before; a sum whose pairs all cancel does no work
-and is refused by nothing.  So the Leibniz check's sums are half formed
-where a form meets itself (see commands), and a power's squarings do about
-half their multiplies.
+|w| > 1 it is multiplied into the left factor's numerators.  A merged pair
+counts once toward the limits below, at its merged size, and a square of a
+k-term factor counts k * k pairs of terms, so the limits refuse what they
+refused before; a sum whose pairs all cancel does no work and is refused by
+nothing.  So the Leibniz check's sums are half formed where a form meets
+itself (see commands).  A pair of one object is a square: on packed keys
+and slices, each unordered pair of its terms is formed once, the cross
+terms doubled (Monagan and Pearce, "Sparse polynomial powering using heaps",
+CASC 2012), so a large power's squarings do half their multiplies.  The
+direct loop's squares have at most four terms in the workloads, where rows
+cost what halving saves, so there a square runs as any other pair.
 
 Powers square repeatedly through that kernel, except where every
 nonconstant term of the base is a power of a variable no other term holds:
@@ -153,6 +156,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from itertools import repeat
 from numbers import Number
 
 from .errors import InputError
@@ -235,9 +239,15 @@ def _scalar(value) -> tuple[int, int]:
 
 def _reduced(coeffs: dict, den: int, bound: int) -> "Expression":
     # coeffs / den in canonical form, when the factor den shares with every
-    # numerator divides bound.
+    # numerator divides bound: the one tail of every sum and product.  Zero
+    # numerators are dropped, and a bound wider than 64 bits is first cut to
+    # its gcd with the numerators' sum, which every factor they share divides.
+    if 0 in coeffs.values():
+        coeffs = {m: c for m, c in coeffs.items() if c}
     if not coeffs:
         return Expression._build({})
+    if bound.bit_length() > 64:
+        bound = math.gcd(bound, sum(coeffs.values()))
     if bound != 1:
         g = math.gcd(bound, *coeffs.values())
         if g != 1:
@@ -308,9 +318,9 @@ def _product_sum(pairs: Sequence[tuple["Expression", "Expression", bool]]) -> "E
     # The sum of a * b over (a, b, negate) pairs, each negated where its flag
     # is set, in one accumulator (see the module docstring).  Each unordered
     # pair of factor objects is multiplied once (see _merged), and a pair of
-    # one object is a square.  Each pair's factors are divided by Gauss's
-    # gcds, and its products scaled to the lcm of the reduced denominators as
-    # its left numerators are read.
+    # one object is a square, formed pair-once on packed keys only (_rows).
+    # Each pair's factors are divided by Gauss's gcds, and its products scaled
+    # to the lcm of the reduced denominators as its left numerators are read.
     if len(pairs) > 1:
         pairs = _merged(pairs)
     reduced = []
@@ -347,19 +357,10 @@ def _product_sum(pairs: Sequence[tuple["Expression", "Expression", bool]]) -> "E
     if term_pairs > _MAX_PAIRS:
         raise InputError(f"product too large: it would take more than {_MAX_PAIRS} pairs of terms")
     if count >= _PACKED_MIN_PAIRS:
-        return _reduced(_packed_sum(reduced, den, largest), den, bound)
+        return _reduced(_packed_sum(reduced, den, largest, term_pairs), den, bound)
     acc: dict[Monomial, int] = {}
     for left, right, d, negate in reduced:
         scale = -(den // d) if negate else den // d
-        if left is right:
-            for mono_a, num_a, row in _square_rows(left):
-                num_a *= scale
-                for mono_b, num_b in row:
-                    mono = _merge_monomials(mono_a, mono_b)
-                    acc[mono] = acc.get(mono, 0) + num_a * num_b
-                if len(acc) > _MAX_TERMS:
-                    raise _past_terms()
-            continue
         right = right.items()
         for mono_a, num_a in left.items():
             num_a *= scale
@@ -368,8 +369,6 @@ def _product_sum(pairs: Sequence[tuple["Expression", "Expression", bool]]) -> "E
                 acc[mono] = acc.get(mono, 0) + num_a * num_b
             if len(acc) > _MAX_TERMS:
                 raise _past_terms()
-    if 0 in acc.values():
-        acc = {m: c for m, c in acc.items() if c}
     return _reduced(acc, den, bound)
 
 
@@ -400,11 +399,13 @@ def _merged(pairs: Sequence[tuple["Expression", "Expression", bool]]) -> Sequenc
     return merged
 
 
-def _square_rows(terms: dict) -> Iterator[tuple]:
-    # (key, numerator, terms it multiplies) for each term of a square's
-    # factor: itself, and doubled, every term after it, so each unordered
-    # pair of terms is multiplied once.
-    items = list(terms.items())
+def _rows(left: dict, right: dict) -> Iterator[tuple]:
+    # (key, numerator, terms it multiplies) per left term: every right term,
+    # or in a square (one map on both sides) itself and, doubled, each term
+    # after it, so each unordered pair of terms is multiplied once.
+    if left is not right:
+        return zip(left, left.values(), repeat(right.items()))
+    items = list(left.items())
     doubled = [(key, c + c) for key, c in items]
     return ((key, c, items[i:i + 1] + doubled[i + 1:]) for i, (key, c) in enumerate(items))
 
@@ -415,7 +416,7 @@ def _past_terms() -> InputError:
 
 
 def _packed_sum(
-    reduced: Sequence[tuple[dict, dict, int, bool]], den: int, largest: int
+    reduced: Sequence[tuple[dict, dict, int, bool]], den: int, largest: int, term_pairs: int
 ) -> dict[Monomial, int]:
     # The nonzero numerators over den of the sum that _product_sum reduced
     # to (left, right, denominator, negate) entries, on packed exponent keys.
@@ -436,7 +437,6 @@ def _packed_sum(
                 seen = exponents[name] = ([0], [0])
             seen[side].append(exponent)
     tops = {name: max(xs) + max(ys) for name, (xs, ys) in exponents.items()}
-    term_pairs = sum([len(left) * len(right) for left, right, _, _ in reduced])
     top, slot = max([(t, name) for name, t in tops.items() if t <= _SLOT_MAX_EXPONENT],
                     default=(0, None)) if term_pairs >= _SLOT_MIN_PAIRS else (0, None)
     shifts: dict[str, int] = {}
@@ -484,19 +484,9 @@ def _packed_sum(
     get = acc.get
     for (_, _, d, negate), left, right in zip(reduced, sides[::2], sides[1::2]):
         scale = -(den // d) if negate else den // d
-        if left is right:
-            for key_a, num_a, row in _square_rows(left):
-                num_a *= scale
-                for key_b, num_b in row:
-                    key = key_a + key_b
-                    acc[key] = get(key, 0) + num_a * num_b
-                if len(acc) > _MAX_TERMS:
-                    raise _past_terms()
-            continue
-        right = right.items()
-        for key_a, num_a in left.items():
+        for key_a, num_a, row in _rows(left, right):
             num_a *= scale
-            for key_b, num_b in right:
+            for key_b, num_b in row:
                 key = key_a + key_b
                 acc[key] = get(key, 0) + num_a * num_b
             if len(acc) > _MAX_TERMS:
@@ -692,10 +682,6 @@ def _entry_sum(entries: Sequence[tuple[Monomial, int, int]]) -> "Expression":
     acc: dict[Monomial, int] = {}
     for key, num, d in entries:
         acc[key] = acc.get(key, 0) + num * (den // d)
-    if 0 in acc.values():
-        acc = {m: c for m, c in acc.items() if c}
-    if bound.bit_length() > 64:  # a factor every numerator shares divides their sum
-        bound = math.gcd(bound, sum(acc.values()))
     return _reduced(acc, den, bound)
 
 
@@ -712,8 +698,6 @@ def _linear(parts: Sequence[tuple["Expression", bool]]) -> "Expression":
             _add_into(acc, coeffs, negate)
         else:
             acc = dict(coeffs)
-    if bound.bit_length() > 64:  # as in _entry_sum
-        bound = math.gcd(bound, sum(acc.values()))
     return _reduced(acc, den, bound)
 
 

@@ -743,6 +743,18 @@ def test_numbers_within_the_bit_limit_fold_on_both_paths(monkeypatch, text, expe
     assert _both_paths(monkeypatch, fc.parse_expression, text) == (expected, expected)
 
 
+@pytest.mark.parametrize("text, column", [("2^200*z1", 1), ("z2 - 3*2^200*z1", 8)])
+def test_a_literal_is_refused_at_a_lowered_ring_bit_limit(monkeypatch, text, column):
+    # The parser reads expr's limit when it folds, so a literal past a
+    # lowered limit is refused at its factor, not built and refused later by
+    # the first product that holds it.
+    monkeypatch.setattr(expr, "_MAX_COEFF_BITS", 100)
+    expected = ("number too large: the term's coefficient would pass 100 bits", 1, column)
+    assert _both_paths(monkeypatch, fc.parse_expression, text) == (expected, expected)
+    # 2^99 has exactly 100 bits.
+    assert fc.parse_expression("2^99*z1") == Expression({(("z1", 1),): 2**99})
+
+
 # Two terms whose denominators, 634 and 697 bits, fold to a 1,331-bit lcm.
 _PAST_LCM = "1/3^400 + 1/5^300"
 

@@ -881,9 +881,11 @@ def test_mirrored_pairs_merge_before_any_work(monkeypatch):
 
 def test_squares_match_products_of_equal_copies():
     # A square (one object on both sides) against the same product of two
-    # distinct but equal objects, on the direct loop, the packed loop and
-    # slices, with the term count at its exact limit.
+    # distinct but equal objects, on the direct loop, the packed loop (225
+    # pairs of terms, below _SLOT_MIN_PAIRS) and slices, with the term count
+    # at its exact limit.
     for base in (fc.parse_expression("1 - 2/3*z1 + z2^2"),
+                 fc.parse_expression("(1 + z1 + z2 + z3 + z4)^2"),
                  fc.parse_expression("(1 + z1 + 2*z2 - 1/3*z3)^3"),
                  Expression.sum([z1**i * (i - 7) for i in range(33)])):
         copy = base + 0
@@ -1143,7 +1145,9 @@ def test_wide_sums_keep_the_factor_their_numerators_share(factor, rest, pairs, c
     # Two sums over one denominator wider than 64 bits whose numerators add
     # up, monomial by monomial, to multiples of a factor of it (or cancel to
     # zero): the sum must divide that factor out, through the gcd with the
-    # sum of the numerators, by Expression addition and by the term scanner.
+    # sum of the numerators, by Expression addition, by the term scanner and
+    # as a sum of products; and the partial in z1 of z1 times the sum, where
+    # the exponents may cancel more of the denominator, must too.
     den = factor * rest
     left, right, expected = {}, {}, {}
     for i, (offset, share) in enumerate(pairs):
@@ -1155,12 +1159,18 @@ def test_wide_sums_keep_the_factor_their_numerators_share(factor, rest, pairs, c
     terms = [f"{c.numerator}/{c.denominator}*z1^{power}"
              for ((_, power),), c in [*left.items(), *right.items()] if c] or ["0"]
     text = " + ".join(terms).replace("+ -", "- ")
-    lcm = math.lcm(*[c.denominator for c in expected.values()]) if expected else 1
-    for total in (Expression(left) + Expression(right),
-                  Expression(left) - (-Expression(right)),
-                  fc.parse_expression(text)):
-        assert dict(total.terms) == expected
-        assert total._den == lcm
+    one = Expression.one()
+    totals = (Expression(left) + Expression(right),
+              Expression(left) - (-Expression(right)),
+              fc.parse_expression(text),
+              expr_module._product_sum([(Expression(left), one, False),
+                                        (Expression(right), one, False)]))
+    derived = {mono(z1=power): (power + 1) * c for ((_, power),), c in expected.items()}
+    cases = [(total, expected) for total in totals]
+    cases.append(((z1 * totals[0]).partial("z1"), derived))
+    for total, want in cases:
+        assert dict(total.terms) == want
+        assert total._den == (math.lcm(*[c.denominator for c in want.values()]) if want else 1)
 
 
 def test_product_sums_over_distinct_prime_denominators_stay_bounded():
