@@ -51,8 +51,11 @@ or more terms, runs after Monagan and Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors" (CASC 2007).  Each
 monomial becomes one int with a bit field per variable, laid out once per
 sum and wide enough that adding two keys never carries, so a pair of terms
-costs one int addition and one multiply-add, and each output monomial is
-decoded once, from (name, exponent) pairs the output shares.
+costs one int addition and one multiply-add.  Each output monomial is
+decoded once, field by field, through a list per variable of its (name,
+exponent) pairs up to the field's top, so the output's monomials share
+their pairs; where those lists would hold more pairs than the sum has
+terms, each pair is built as it is read.
 
 One variable's exponents may ride in the numerators instead: Kronecker
 substitution in that variable alone (Fateman, "Can you save time in
@@ -319,8 +322,9 @@ def _product_sum(pairs: Sequence[tuple["Expression", "Expression", bool]]) -> "E
     # is set, in one accumulator (see the module docstring).  Each unordered
     # pair of factor objects is multiplied once (see _merged), and a pair of
     # one object is a square, formed pair-once on packed keys only (_rows).
-    # Each pair's factors are divided by Gauss's gcds, and its products scaled
-    # to the lcm of the reduced denominators as its left numerators are read.
+    # Each pair's factors are divided by Gauss's gcds (1 for a square, so its
+    # two sides stay one map for _rows), and its products scaled to the lcm
+    # of the reduced denominators as its left numerators are read.
     if len(pairs) > 1:
         pairs = _merged(pairs)
     reduced = []
@@ -332,15 +336,12 @@ def _product_sum(pairs: Sequence[tuple["Expression", "Expression", bool]]) -> "E
         if not left or not right:
             continue
         den_a, den_b = a._den, b._den
-        # A canonical factor shares no prime of its denominator with all its
-        # own numerators, so a square is reduced by nothing.
-        if a is not b:
-            if den_b != 1 and (g := math.gcd(den_b, *left.values())) != 1:
-                left = {m: c // g for m, c in left.items()}
-                den_b //= g
-            if den_a != 1 and (g := math.gcd(den_a, *right.values())) != 1:
-                right = {m: c // g for m, c in right.items()}
-                den_a //= g
+        if den_b != 1 and (g := math.gcd(den_b, *left.values())) != 1:
+            left = {m: c // g for m, c in left.items()}
+            den_b //= g
+        if den_a != 1 and (g := math.gcd(den_a, *right.values())) != 1:
+            right = {m: c // g for m, c in right.items()}
+            den_a //= g
         dens.append(den_a * den_b)
         reduced.append((left, right, dens[-1], negate))
         sizes.append(sum(map(abs, left.values())) * sum(map(abs, right.values())))
@@ -429,14 +430,9 @@ def _packed_sum(
     # those slices costs one int multiply (see the module docstring).
     pairs_a = {pair for left, _, _, _ in reduced for mono in left for pair in mono}
     pairs_b = {pair for _, right, _, _ in reduced for mono in right for pair in mono}
-    exponents: dict[str, tuple[list[int], list[int]]] = {}
-    for side, pairs in enumerate((pairs_a, pairs_b)):
-        for name, exponent in pairs:
-            seen = exponents.get(name)
-            if seen is None:
-                seen = exponents[name] = ([0], [0])
-            seen[side].append(exponent)
-    tops = {name: max(xs) + max(ys) for name, (xs, ys) in exponents.items()}
+    # Each side's largest exponent per variable: in sorted pairs, a name's last.
+    top_a, top_b = dict(sorted(pairs_a)), dict(sorted(pairs_b))
+    tops = {name: top_a.get(name, 0) + top_b.get(name, 0) for name in top_a | top_b}
     top, slot = max([(t, name) for name, t in tops.items() if t <= _SLOT_MAX_EXPONENT],
                     default=(0, None)) if term_pairs >= _SLOT_MIN_PAIRS else (0, None)
     shifts: dict[str, int] = {}
@@ -491,27 +487,22 @@ def _packed_sum(
                 acc[key] = get(key, 0) + num_a * num_b
             if len(acc) > _MAX_TERMS:
                 raise _past_terms()
-    # Keys decode through a table per field of the (name, exponent) pairs
-    # that the factors' exponent sums make, so the monomials share their
-    # pairs, unless the tables would hold more pairs than the sum has terms
-    # (exponents that rarely repeat), where they cost more than they save.
-    direct = sum([len(xs) * len(ys) for xs, ys in exponents.values()]) > len(acc)
-    fields = []
-    for name in sorted(tops):
-        if name != slot:
-            xs, ys = exponents[name]
-            table = {} if direct else {x + y: (name, x + y) for x in xs for y in ys}
-            table[0] = None
-            fields.append((name, shifts[name], (1 << tops[name].bit_length()) - 1, table))
-    if direct:
+    # Keys decode through a dense list per field of its (name, exponent)
+    # pairs up to the field's top, so the monomials share their pairs, unless
+    # the lists would hold more pairs than the sum has terms (exponents that
+    # rarely repeat), where they cost more than they save.
+    fields = [(name, shifts[name], (1 << tops[name].bit_length()) - 1)
+              for name in sorted(tops) if name != slot]
+    if sum([tops[name] for name, _, _ in fields]) > len(acc):
         decoded = {
-            tuple([(name, e) for name, shift, bits, _ in fields
-                   if (e := key >> shift & bits)]): num
+            tuple([(name, e) for name, shift, bits in fields if (e := key >> shift & bits)]): num
             for key, num in acc.items() if num
         }
     else:
+        tables = [(shift, bits, [None] + [(name, e) for e in range(1, tops[name] + 1)])
+                  for name, shift, bits in fields]
         decoded = {
-            tuple([pair for _, shift, bits, table in fields
+            tuple([pair for shift, bits, table in tables
                    if (pair := table[key >> shift & bits])]): num
             for key, num in acc.items() if num
         }

@@ -7,8 +7,10 @@ points, parsed text by ring operations on its parse tree, the canonical
 term order by sorting exponent vectors, printed text term by term from
 that order and Fractions, the differentials by a partial along
 every direction, the covariant differential and the soldering form by
-visiting every index slot of their tables, and the pullback of a form along
-a change of chart by the chain rule with Jacobian minors.
+visiting every index slot of their tables, the pullback of a form along
+a change of chart by the chain rule with Jacobian minors, and a bundle table
+under a fibre-only change of chart by the affine law on {monomial: Fraction}
+dicts.
 """
 
 from __future__ import annotations
@@ -311,3 +313,36 @@ def pullback(form, components):
                 minor = minor + term
             out[target] = out.get(target, fc.Expression.zero()) + pulled * minor
     return type(form)(form.chart, form.degree, out)
+
+
+def fibre_shift(table, shift):
+    """A table under the fibre-only change of bundle chart u' = u + g(z),
+    where shift[i] is g^i over the base coordinates and the base map is the
+    identity.
+
+    A connection or a leafwise connection takes the affine law with
+    du'/du = 1 at every (fibre, column) slot of its kind, stored or not:
+    Gamma'^i_l(z, u') = Gamma^i_l(z, u' - g(z)) + d_l g^i(z).  A soldering
+    form is a tensor and takes the first term only.  A splitting lives on
+    the base, which the change leaves alone, so it is returned as it is.
+    """
+    if isinstance(table, fc.Splitting):
+        return table
+    chart = table.chart
+    names = chart.base.coords
+    columns = chart.dim_leaf if isinstance(table, fc.LeafwiseConnection) else chart.dim
+    affine = isinstance(table, (fc.Connection, fc.LeafwiseConnection))
+    shift = [dict(g.terms) for g in shift]
+    back = {
+        name: dict_sum([{((name, 1),): Fraction(1)}], [g])
+        for name, g in zip(chart.fibre_coords, shift)
+    }
+    out = {}
+    for fibre in range(chart.fibre_dim):
+        for column in range(columns):
+            value = dict_substitute(dict(table.coefficient(fibre, column).terms), back)
+            if affine:
+                value = dict_sum([value, dict_partial(shift[fibre], names[column])])
+            if value:
+                out[(fibre, column)] = fc.Expression(value)
+    return type(table)(chart, out)

@@ -460,8 +460,9 @@ def test_multinomial_coefficients_at_size():
 
 
 def test_product_with_exponents_near_2_70_finishes():
-    # The kernel's decode tables hold only the exponent sums that occur, so
-    # exponents near 2**70 cost no more than small ones.
+    # The fields' top exponents near 2**71 pass the product's term count, so
+    # the kernel decodes directly and builds no list of pairs: exponents near
+    # 2**70 cost no more than small ones.
     x, y = Expression.variable("z1"), Expression.variable("z10")
     a = Expression.sum((i + 1) * x ** (2**70 + i) * y ** (3 * i + 1) for i in range(9))
     b = Expression.sum((i + 2) * x ** (2**69 + 5 * i) + y ** (2**70 - i) for i in range(8))
@@ -475,9 +476,9 @@ def test_product_with_exponents_near_2_70_finishes():
 
 
 def test_products_of_unshared_exponents_cost_about_a_direct_loop():
-    # Exponents that never repeat: decode tables would hold eight times as
-    # many pairs as the product has terms, so the kernel builds none and
-    # costs about what the direct loop does (~0.9 of it; ~2.8 with tables).
+    # Exponents that never repeat: decode lists would hold about 2 million
+    # pairs per variable against the product's 22,500 terms, so the kernel
+    # builds none and costs about what the direct loop does.
     rng = random.Random(3)
 
     def factor():

@@ -334,3 +334,72 @@ SPLIT = Splitting(BASE, {("z1", "z3"): z2})
 def test_operand_types_are_checked(call):
     with pytest.raises(fc.ChartMismatchError, match=" needs a "):
         call()
+
+
+# -- fibre-only changes of bundle chart ------------------------------------------
+#
+# Under u' = u + g(z) over an identity base map, oracles.fibre_shift moves a
+# connection by the affine law and a soldering form as a tensor, and leaves a
+# splitting alone.  The extension Gamma + s(A - Gamma|F) is well defined only
+# if building it and changing chart commute.
+
+
+def _fibre_changes(seed):
+    # (chart, A, reference, B1, B2, g) draws; the reference is None (the zero
+    # connection) in one draw of four.
+    rng = random.Random(seed)
+    for _ in range(200):
+        chart = randgen.bundle_chart(rng)
+        a = randgen.leafwise_connection(rng, chart)
+        gamma = randgen.connection(rng, chart) if rng.random() < 0.75 else None
+        first = randgen.splitting(rng, chart.base)
+        second = randgen.splitting(rng, chart.base)
+        g = [randgen.expression(rng, chart.base.coords, 2) for _ in chart.fibre_coords]
+        yield chart, a, gamma, first, second, g
+
+
+def _shifted_reference(chart, gamma, g):
+    return oracles.fibre_shift(gamma or Connection(chart), g)
+
+
+def test_restriction_commutes_with_a_fibre_change():
+    for chart, _, gamma, _, _, g in _fibre_changes(131):
+        gamma = gamma or Connection(chart)
+        assert restrict_connection(oracles.fibre_shift(gamma, g)) == oracles.fibre_shift(
+            restrict_connection(gamma), g
+        )
+
+
+def test_extension_is_natural_under_a_fibre_change():
+    for chart, a, gamma, split, _, g in _fibre_changes(137):
+        moved = extend_connection(
+            oracles.fibre_shift(a, g),
+            _shifted_reference(chart, gamma, g),
+            oracles.fibre_shift(split, g),
+        )
+        assert moved == oracles.fibre_shift(extend_connection(a, gamma, split), g)
+
+
+def test_dependence_transforms_as_a_tensor_under_a_fibre_change():
+    for chart, a, gamma, first, second, g in _fibre_changes(139):
+        moved = extension_dependence(
+            oracles.fibre_shift(a, g), _shifted_reference(chart, gamma, g), first, second
+        )
+        assert moved == oracles.fibre_shift(extension_dependence(a, gamma, first, second), g)
+
+
+def test_an_untransformed_reference_breaks_naturality():
+    # The control: with u' = u + z3 and B = 0 the transformed extension has
+    # d_3 g = 1 on its transverse slot, which only the reference can carry.
+    zero = LeafwiseConnection(CHART)
+    g = [Expression.variable("z3")]
+    expected = oracles.fibre_shift(extend_connection(zero, Connection(CHART), Splitting(BASE)), g)
+    assert expected.coefficient("u", "z3") == one
+    unmoved = extend_connection(oracles.fibre_shift(zero, g), Connection(CHART), Splitting(BASE))
+    assert unmoved != expected
+    broken = 0
+    for chart, a, gamma, split, _, g in _fibre_changes(149):
+        gamma = gamma or Connection(chart)
+        moved = extend_connection(oracles.fibre_shift(a, g), gamma, split)
+        broken += moved != oracles.fibre_shift(extend_connection(a, gamma, split), g)
+    assert broken > 0
