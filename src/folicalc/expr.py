@@ -268,10 +268,8 @@ def _ordered(coeffs: Mapping[Monomial, int]) -> list:
     if len(coeffs) < 2:
         return [(0, mono, num) for mono, num in coeffs.items()]
     pairs = {pair for mono in coeffs for pair in mono}
-    top: dict[str, int] = {}
-    for name, exponent in pairs:
-        if exponent > top.get(name, 0):
-            top[name] = exponent
+    # Each variable's largest exponent: in sorted pairs, a name's last.
+    top = dict(sorted(pairs))
     shifts = {}
     shift = 0
     for name in sorted(top, reverse=True):

@@ -4,8 +4,9 @@ Forms are stored on the strictly increasing multi-index basis: a degree-r
 form maps each index tuple (i1 < ... < ir) to a coefficient Expression, and
 zero coefficients are never stored.  Leafwise indices run over the leaf block
 only; exterior indices run over all base coordinates.  The redundant fully
-antisymmetric components (and their 1/r! normalisation) never appear: all
-signs are produced by counting inversions while merging index tuples.
+antisymmetric components (and their 1/r! normalisation) never appear: the
+sign of each product of basis forms is the parity of the inversions between
+the two index tuples, whose sorted concatenation indexes the result.
 
 A form may live over a bundle chart, in which case its coefficients may
 mention fibre variables; its indices still refer to base coordinates only.
@@ -39,31 +40,17 @@ from .expr import Expression, Scalar, _add_into, _is_int, _product_sum
 
 
 def merge_indices(left: tuple[int, ...], right: tuple[int, ...]):
-    """Interleave two strictly increasing index tuples.
+    """Concatenate two strictly increasing index tuples and sort them.
 
-    Returns (merged, sign) where sign is the parity of the permutation that
-    sorts the concatenation, or (None, 0) if an index repeats.
+    Returns (merged, sign): merged is the sorted concatenation, and sign is
+    the parity of the pairs i of left and j of right with i > j, the
+    inversions of the permutation that sorts left + right.  Returns
+    (None, 0) if an index repeats.
     """
-    if not left:
-        return right, 1
-    if not right:
-        return left, 1
-    out = []
-    inversions = 0
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] == right[j]:
-            return None, 0
-        if left[i] < right[j]:
-            out.append(left[i])
-            i += 1
-        else:
-            out.append(right[j])
-            j += 1
-            inversions += len(left) - i
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return tuple(out), (-1 if inversions & 1 else 1)
+    if not set(left).isdisjoint(right):
+        return None, 0
+    inversions = sum([i > j for i in left for j in right])
+    return tuple(sorted(left + right)), (-1 if inversions & 1 else 1)
 
 
 class _Form(_Record):

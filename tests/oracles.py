@@ -8,9 +8,10 @@ term order by sorting exponent vectors, printed text term by term from
 that order and Fractions, the differentials by a partial along
 every direction, the covariant differential and the soldering form by
 visiting every index slot of their tables, the pullback of a form along
-a change of chart by the chain rule with Jacobian minors, and a bundle table
+a change of chart by the chain rule with Jacobian minors, a bundle table
 under a fibre-only change of chart by the affine law on {monomial: Fraction}
-dicts.
+dicts, and a bundle table under a triangular change of base chart by the
+Jacobian of its back-substituted inverse.
 """
 
 from __future__ import annotations
@@ -346,3 +347,81 @@ def fibre_shift(table, shift):
             if value:
                 out[(fibre, column)] = fc.Expression(value)
     return type(table)(chart, out)
+
+
+def triangular_inverse(names, components):
+    """The inverse of the base map z -> z', where components[j] is z'_j over
+    the coordinates names, for a triangular map z'_j = z_j + f_j in which
+    each f_j mentions only coordinates that some other component solves
+    first.  Back-substitution: z_j = z'_j - f_j(z), with the z already
+    solved substituted into f_j; the primed coordinates reuse the names."""
+    solved = {}
+    for _ in names:
+        for name, value in zip(names, components):
+            rest = value - fc.Expression.variable(name)
+            if name not in solved and rest.variables() <= solved.keys():
+                solved[name] = fc.Expression.variable(name) - rest.substitute(solved)
+    return [solved[name] for name in names]
+
+
+def bundle_change(chart, components, shift):
+    """The change z' = components(z), u' = u + g(z) of a bundle chart, as a
+    function that moves a table over the chart or a splitting over its base:
+    components[j] is the new value of the j-th base coordinate, as in
+    pullback, and shift[i] is g^i over the base coordinates.
+
+    With k = dz/dz' and j = dz'/dz, every coefficient, k, j and d g
+    evaluated along the inverse map (triangular_inverse, and u = u' - g(z)),
+    and sums over repeated indices, mu over every base position, a and b
+    over the leaf ones and t and tau over the transverse ones:
+    - a connection: Gamma'^i_l = (Gamma^i_mu + d_mu g^i) k^mu_l;
+    - a leafwise connection: the same sum over leaf mu only, since an
+      adapted map has k^t_l = 0 for every leaf l;
+    - a splitting: B'^a_tau = j^a_b (B^b_t k^t_tau - k^b_tau), from
+      s(dz'^a) = j^a_b s(dz^b) = j^a_b (dz^b - B^b_t dz^t) written over the
+      dz', whose leaf part j^a_b k^b_l is the identity;
+    - a soldering form, a tensor: Delta'^i_l = Delta^i_mu k^mu_l, with no
+      d g term.
+    """
+    base = chart.base
+    names, leaf, zero = base.coords, base.dim_leaf, fc.Expression.zero()
+    inverse = triangular_inverse(names, components)
+    along = dict(zip(names, inverse))
+    k = [[z.partial(name) for name in names] for z in inverse]
+    j = [[z.partial(name).substitute(along) for name in names] for z in components]
+    dg = [[g.partial(name).substitute(along) for name in names] for g in shift]
+    back = along | {
+        name: fc.Expression.variable(name) - g.substitute(along)
+        for name, g in zip(chart.fibre_coords, shift)
+    }
+    transverse = range(leaf, base.dim)
+
+    def change(table):
+        moved = {key: value.substitute(back) for key, value in table.coefficients.items()}
+        out = {}
+        if isinstance(table, fc.Splitting):
+            for a in range(leaf):
+                for tau in transverse:
+                    total = zero
+                    for b in range(leaf):
+                        image = sum(
+                            (moved.get((b, t), zero) * k[t][tau] for t in transverse), -k[b][tau]
+                        )
+                        total = total + j[a][b] * image
+                    out[(a, tau)] = total
+        else:
+            affine = not isinstance(table, fc.SolderingForm)
+            columns = range(leaf if isinstance(table, fc.LeafwiseConnection) else base.dim)
+            for i in range(chart.fibre_dim):
+                for column in columns:
+                    out[(i, column)] = sum(
+                        (
+                            (moved.get((i, mu), zero) + (dg[i][mu] if affine else zero))
+                            * k[mu][column]
+                            for mu in columns
+                        ),
+                        zero,
+                    )
+        return type(table)(table.chart, {key: c for key, c in out.items() if not c.is_zero()})
+
+    return change

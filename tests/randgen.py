@@ -97,6 +97,18 @@ def splitting(rng, base, coeff_degree=2) -> fc.Splitting:
     return fc.Splitting(base, table)
 
 
+def triangular_map(rng, base, adapted=True, coeff_degree=2) -> list[fc.Expression]:
+    # z'_i = z_i + f_i: f_i over the coordinates after z_i, so a transverse
+    # f_i holds transverse ones only and the map is adapted; or, for
+    # adapted=False, over the coordinates before z_i, leaf ones included.
+    coords = base.coords
+    return [
+        fc.Expression.variable(name)
+        + expression(rng, coords[i + 1:] if adapted else coords[:i], coeff_degree)
+        for i, name in enumerate(coords)
+    ]
+
+
 def section(rng, chart, coeff_degree=3) -> fc.BundleSection:
     return fc.BundleSection(
         chart,

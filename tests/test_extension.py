@@ -26,6 +26,7 @@ from folicalc import (
     translate_connection,
     verify_extension,
 )
+from folicalc import extension
 
 import oracles
 import randgen
@@ -403,3 +404,119 @@ def test_an_untransformed_reference_breaks_naturality():
         moved = extend_connection(oracles.fibre_shift(a, g), gamma, split)
         broken += moved != oracles.fibre_shift(extend_connection(a, gamma, split), g)
     assert broken > 0
+
+
+# -- changes of base chart ---------------------------------------------------------
+#
+# Under a triangular adapted base map z'_i = z_i + f_i(z_{i+1}, ...) with
+# u' = u + g(z), oracles.bundle_change moves a connection by the affine law,
+# a splitting by the leaf, transverse and mixed blocks of the Jacobian and a
+# soldering form as a tensor.  Unlike a fibre-only change, a base map mixes
+# the transverse columns, so it sees which column a slot of s(Q) lands in.
+
+# z1' = z1 + z2*z3, z2' = z2 + z4^2 - z3, z3' = z3 + 2*z4^2, u' = u + z1*z3 + z2.
+WIDE = BundleChart(AdaptedChart(("z1", "z2"), ("z3", "z4")), ("u",))
+WIDE_MAP = [
+    fc.parse_expression(text) for text in ("z1 + z2*z3", "z2 + z4^2 - z3", "z3 + 2*z4^2", "z4")
+]
+WIDE_SHIFT = [fc.parse_expression("z1*z3 + z2")]
+
+
+def _bundle_changes(seed, adapted=True, min_transverse=0):
+    # (chart, A, reference, B1, B2, change) draws, change taking a table to
+    # its transform; the reference is the zero connection in one draw of four.
+    rng = random.Random(seed)
+    for _ in range(200):
+        chart = randgen.bundle_chart(rng)
+        while chart.dim - chart.dim_leaf < min_transverse:
+            chart = randgen.bundle_chart(rng)
+        a = randgen.leafwise_connection(rng, chart)
+        gamma = randgen.connection(rng, chart) if rng.random() < 0.75 else Connection(chart)
+        first = randgen.splitting(rng, chart.base)
+        second = randgen.splitting(rng, chart.base)
+        components = randgen.triangular_map(rng, chart.base, adapted)
+        g = [randgen.expression(rng, chart.base.coords, 2) for _ in chart.fibre_coords]
+        yield chart, a, gamma, first, second, oracles.bundle_change(chart, components, g)
+
+
+def _extension_is_natural(change, a, gamma, split, moved_split):
+    moved = extend_connection(change(a), change(gamma), moved_split)
+    return moved == change(extend_connection(a, gamma, split))
+
+
+def _dependence_is_a_tensor(change, a, gamma, first, second):
+    moved = extension_dependence(change(a), change(gamma), change(first), change(second))
+    return moved == change(extension_dependence(a, gamma, first, second))
+
+
+def test_the_base_change_oracle_inverts_its_map():
+    inverse = oracles.triangular_inverse(WIDE.base.coords, WIDE_MAP)
+    bindings = dict(zip(WIDE.base.coords, inverse))
+    assert [z.substitute(bindings) for z in WIDE_MAP] == [
+        Expression.variable(name) for name in WIDE.base.coords
+    ]
+
+
+def test_restriction_commutes_with_a_bundle_change():
+    for _, _, gamma, _, _, change in _bundle_changes(151):
+        assert restrict_connection(change(gamma)) == change(restrict_connection(gamma))
+
+
+def test_extension_is_natural_under_a_bundle_change():
+    for _, a, gamma, split, _, change in _bundle_changes(157):
+        assert _extension_is_natural(change, a, gamma, split, change(split))
+
+
+def test_dependence_transforms_as_a_tensor_under_a_bundle_change():
+    for _, a, gamma, first, second, change in _bundle_changes(163):
+        assert _dependence_is_a_tensor(change, a, gamma, first, second)
+
+
+def test_an_untransformed_splitting_breaks_naturality():
+    # The control: on the hand-built map a splitting whose only entry is
+    # B[z1][z3] = 1 moves to a splitting with a z4 column.
+    change = oracles.bundle_change(WIDE, WIDE_MAP, WIDE_SHIFT)
+    split = Splitting(WIDE.base, {("z1", "z3"): one})
+    a = LeafwiseConnection(WIDE, {("u", "z1"): u})
+    gamma = Connection(WIDE)
+    assert not change(split).coefficient("z1", "z4").is_zero()
+    assert _extension_is_natural(change, a, gamma, split, change(split))
+    assert not _extension_is_natural(change, a, gamma, split, split)
+    assert not all(
+        _extension_is_natural(change, a, gamma, split, split)
+        for _, a, gamma, split, _, change in _bundle_changes(167)
+    )
+
+
+def test_a_base_map_that_is_not_adapted_breaks_naturality():
+    # The control: z'_i = z_i + f_i(z_1, ..., z_{i-1}) lets a transverse
+    # coordinate move with the leaves, which the leafwise law cannot carry.
+    assert not all(
+        _extension_is_natural(change, a, gamma, split, change(split))
+        for _, a, gamma, split, _, change in _bundle_changes(173, adapted=False)
+    )
+
+
+_real_transverse = extension._transverse
+
+
+def _reversed_transverse(difference, *signed):
+    # The transverse-index mutant: each slot of s(Q) lands in the mirror
+    # image of its transverse column.
+    chart = difference.chart
+    table = _real_transverse(difference, *signed)
+    return {(fibre, chart.dim_leaf + chart.dim - 1 - t): c for (fibre, t), c in table.items()}
+
+
+def test_a_reversed_transverse_index_breaks_naturality(monkeypatch):
+    # Only a base map mixes transverse columns: both sides of a fibre-only
+    # identity would carry the mutant alike.
+    monkeypatch.setattr(extension, "_transverse", _reversed_transverse)
+    assert not all(
+        _extension_is_natural(change, a, gamma, split, change(split))
+        for _, a, gamma, split, _, change in _bundle_changes(179, min_transverse=2)
+    )
+    assert not all(
+        _dependence_is_a_tensor(change, a, gamma, first, second)
+        for _, a, gamma, first, second, change in _bundle_changes(181, min_transverse=2)
+    )

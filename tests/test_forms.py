@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from folicalc import (
     restrict_form,
     wedge,
 )
+from folicalc.forms import merge_indices
 
 import oracles
 import randgen
@@ -102,6 +104,20 @@ def test_invalid_indices_rejected():
 
 
 # -- wedge -----------------------------------------------------------------------
+
+
+def test_merge_indices_matches_the_permutation_sign():
+    # Every pair of strictly increasing tuples over 6 positions, the empty
+    # tuple included: 64 x 64 pairs.
+    increasing = [
+        index for size in range(7) for index in itertools.combinations(range(6), size)
+    ]
+    assert len(increasing) == 64
+    for left in increasing:
+        for right in increasing:
+            sign = oracles.permutation_sign(left + right)
+            merged = tuple(sorted(left + right)) if sign else None
+            assert merge_indices(left, right) == (merged, sign)
 
 
 def test_wedge_repeated_index_vanishes():
